@@ -16,6 +16,8 @@ from .alloc import (
     proportional_costs,
     solve_bnb,
     solve_dp,
+    solve_dp_sweep,
+    solve_exact,
     solve_greedy,
 )
 from .datagen import (

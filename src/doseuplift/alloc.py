@@ -18,7 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import CadeMatrix, load_cade_csv, save_cade_csv
+from .estimators import (
+    CadeMatrix,
+    load_cade_csv,
+    read_dose_csv,
+    read_entity_csv,
+    save_cade_csv,
+    write_dose_csv,
+)
 from .lpcore import LpProblem, solve_lp
 
 BUDGET_TOL = 1e-9
@@ -64,7 +71,7 @@ class AllocationProblem:
         if groups.shape != (self.cade.n,) or not np.all((groups == 0) | (groups == 1)):
             raise AllocError("groups must be 0/1 with one entry per entity")
         if not np.isfinite(self.budget) or self.budget < 0:
-            raise AllocError("budget must be finite and >= 0")
+            raise AllocError(f"budget must be finite and >= 0, got {self.budget!r}")
         for eps in (self.eps_dt, self.eps_do):
             if eps is not None and not (0.0 <= eps <= 1.0):
                 raise AllocError("fairness slacks must lie in [0, 1] or be None")
@@ -275,11 +282,34 @@ def solve_greedy(prob: AllocationProblem) -> SolveReport:
     return _finish("heuristic", objective, policy, 0, None, None, t0)
 
 
+def _integral_costs(prob: AllocationProblem, resolution: int) -> np.ndarray | None:
+    """Costs scaled to exact integers at ``resolution``; None when they are not."""
+    scaled = prob.costs * resolution
+    int_costs = np.rint(scaled).astype(np.int64)
+    if np.max(np.abs(scaled - int_costs)) > 1e-9:
+        return None
+    return int_costs
+
+
 def solve_dp(prob: AllocationProblem, cost_resolution: int | None = None) -> SolveReport:
     """Exact multi-choice knapsack DP for budget-only problems.
 
     Costs must scale to exact integers at the chosen resolution; anything
     else is refused rather than silently rounded.
+    """
+    return solve_dp_sweep(prob, [prob.budget], cost_resolution)[0]
+
+
+def solve_dp_sweep(
+    prob: AllocationProblem, budgets, cost_resolution: int | None = None
+) -> list[SolveReport]:
+    """``solve_dp`` at every budget of a sweep, from one DP table.
+
+    The table is built once, up to the largest budget's capacity, and each
+    budget backtracks from its own column. Column w depends only on columns
+    <= w, so every policy is the one a table built at that budget alone
+    gives, bit for bit. Reports come in the order of ``budgets``; each
+    ``wall_ms`` is the shared table build plus that report's backtrack.
     """
     t0 = time.perf_counter()
     if prob.active_fairness():
@@ -288,14 +318,17 @@ def solve_dp(prob: AllocationProblem, cost_resolution: int | None = None) -> Sol
         cost_resolution = prob.delta
     if cost_resolution < 1:
         raise AllocError("cost_resolution must be >= 1")
-    scaled = prob.costs * cost_resolution
-    int_costs = np.rint(scaled).astype(np.int64)
-    if np.max(np.abs(scaled - int_costs)) > 1e-9:
+    int_costs = _integral_costs(prob, cost_resolution)
+    if int_costs is None:
         raise AllocError(
             "costs are not integral at this resolution; use solve_bnb instead"
         )
-    cap = int(np.floor(prob.budget * cost_resolution + BUDGET_TOL))
-    cap = min(cap, int(int_costs.max(axis=1).sum()))  # beyond this, budget is slack
+    slack_cap = int(int_costs.max(axis=1).sum())  # beyond this, budget is slack
+    budgets = [prob.with_budget(float(b)).budget for b in budgets]  # validates each
+    caps = [min(int(np.floor(b * cost_resolution + BUDGET_TOL)), slack_cap) for b in budgets]
+    if not caps:
+        return []
+    cap = max(caps)
     if (cap + 1) * prob.n > 200_000_000:
         raise AllocError("DP table too large; use solve_bnb or a coarser resolution")
 
@@ -321,16 +354,42 @@ def solve_dp(prob: AllocationProblem, cost_resolution: int | None = None) -> Sol
                 seg[better] = shifted[better]
                 choice[i, c:][better] = d
         dp = cand
+    build_s = time.perf_counter() - t0
 
-    assign = np.zeros(prob.n, dtype=int)
-    w = cap
-    for i in range(prob.n - 1, -1, -1):
-        d = int(choice[i, w])
-        assign[i] = d
-        w -= int(int_costs[i, d])
-    policy = Policy.from_dose_indices(assign, prob.delta + 1)
-    objective = policy_value(policy, prob.cade, prob.benefits)
-    return _finish("optimal", objective, policy, 0, None, objective, t0)
+    reports = []
+    for col in caps:
+        # each report's clock starts as if the shared build ran just before it
+        t_report = time.perf_counter() - build_s
+        assign = np.zeros(prob.n, dtype=int)
+        w = col
+        for i in range(prob.n - 1, -1, -1):
+            d = int(choice[i, w])
+            assign[i] = d
+            w -= int(int_costs[i, d])
+        policy = Policy.from_dose_indices(assign, prob.delta + 1)
+        objective = policy_value(policy, prob.cade, prob.benefits)
+        reports.append(_finish("optimal", objective, policy, 0, None, objective, t_report))
+    return reports
+
+
+def dp_applicable(prob: AllocationProblem) -> bool:
+    """Budget-only problems whose costs are integral at the grid resolution."""
+    return not prob.active_fairness() and _integral_costs(prob, prob.delta) is not None
+
+
+def solve_exact(prob: AllocationProblem, **bnb_kwargs) -> SolveReport:
+    """Exact solve, dispatching to the knapsack DP when it applies."""
+    if dp_applicable(prob):
+        return solve_dp(prob)
+    return solve_bnb(prob, **bnb_kwargs)
+
+
+def solve_exact_sweep(prob: AllocationProblem, budgets, **bnb_kwargs) -> list[SolveReport]:
+    """``solve_exact`` at every budget: one DP table when the DP applies,
+    otherwise one branch-and-bound per budget."""
+    if dp_applicable(prob):
+        return solve_dp_sweep(prob, budgets)
+    return [solve_bnb(prob.with_budget(float(b)), **bnb_kwargs) for b in budgets]
 
 
 def _build_lp(prob: AllocationProblem) -> LpProblem:
@@ -576,58 +635,74 @@ def flattening_budget(prob: AllocationProblem) -> float:
 # problem files: cade.csv / cost.csv / meta.csv
 # ---------------------------------------------------------------------------
 
+META_CSV_HEADER = ["entity", "benefit", "group", "budget", "eps_dt", "eps_do", "strict_eps_one"]
+
+
+def _eps_field(eps: float | None) -> str:
+    return "disabled" if eps is None else repr(float(eps))
+
+
 def save_problem(prob: AllocationProblem, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_cade_csv(prob.cade, directory / "cade.csv")
-    # costs reuse the dose-labeled layout
-    with (directory / "cost.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity"] + [f"dose_{float(d)!r}" for d in prob.cade.doses])
-        for i in range(prob.n):
-            writer.writerow([str(i)] + [repr(float(v)) for v in prob.costs[i]])
+    write_dose_csv(directory / "cost.csv", prob.cade.doses, prob.costs)
+    shared = [
+        repr(float(prob.budget)),
+        _eps_field(prob.eps_dt),
+        _eps_field(prob.eps_do),
+        "true" if prob.strict_eps_one else "false",
+    ]
     with (directory / "meta.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["entity", "benefit", "group", "budget", "eps_dt", "eps_do"])
-        eps_dt = "disabled" if prob.eps_dt is None else repr(float(prob.eps_dt))
-        eps_do = "disabled" if prob.eps_do is None else repr(float(prob.eps_do))
+        writer.writerow(META_CSV_HEADER)
         for i in range(prob.n):
-            writer.writerow(
-                [
-                    str(i),
-                    repr(float(prob.benefits[i])),
-                    str(int(prob.groups[i])),
-                    repr(float(prob.budget)),
-                    eps_dt,
-                    eps_do,
-                ]
-            )
+            benefit, group = repr(float(prob.benefits[i])), str(int(prob.groups[i]))
+            writer.writerow([str(i), benefit, group] + shared)
+
+
+def _parse_shared(fields: list[str]) -> tuple:
+    """(budget, eps_dt, eps_do, strict_eps_one) from the per-row copies in meta.csv."""
+    budget = float(fields[0])
+    eps_dt, eps_do = (None if f == "disabled" else float(f) for f in fields[1:3])
+    strict = fields[3] if len(fields) > 3 else "false"  # six-column files predate the flag
+    if strict not in ("true", "false"):
+        raise ValueError(f"strict_eps_one must be true or false, got {strict!r}")
+    return budget, eps_dt, eps_do, strict == "true"
 
 
 def load_problem(directory: str | Path) -> AllocationProblem:
+    """Read a problem directory; inconsistent files fail with a file:line message."""
     directory = Path(directory)
     cade = load_cade_csv(directory / "cade.csv")
-    with (directory / "cost.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        costs = np.asarray([[float(v) for v in row[1:]] for row in reader if row])
-    with (directory / "meta.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["entity", "benefit", "group", "budget", "eps_dt", "eps_do"]:
-            raise AllocError(f"{directory}/meta.csv: unexpected header")
-        benefits, groups = [], []
-        budget = eps_dt = eps_do = None
-        for row in reader:
-            if not row:
-                continue
-            benefits.append(float(row[1]))
-            groups.append(int(row[2]))
-            budget = float(row[3])
-            eps_dt = None if row[4] == "disabled" else float(row[4])
-            eps_do = None if row[5] == "disabled" else float(row[5])
-    if budget is None:
-        raise AllocError(f"{directory}/meta.csv: no data rows")
+    cost_path = directory / "cost.csv"
+    cost_doses, costs = read_dose_csv(cost_path)
+    if not np.array_equal(cost_doses, cade.doses):
+        raise AllocError(f"{cost_path}:1: dose columns differ from those of cade.csv")
+
+    meta_path = directory / "meta.csv"
+    header, rows = read_entity_csv(meta_path)
+    if header not in (META_CSV_HEADER, META_CSV_HEADER[:-1]):
+        raise AllocError(f"{meta_path}:1: unexpected header")
+    if not rows:
+        raise AllocError(f"{meta_path}: no data rows")
+    benefits, groups, first = [], [], None
+    for line, fields in rows:
+        try:
+            if len(fields) != len(header) - 1:
+                raise ValueError(f"{len(fields) + 1} fields, expected {len(header)}")
+            benefits.append(float(fields[0]))
+            groups.append(int(fields[1]))
+            shared = _parse_shared(fields[2:])
+        except ValueError as exc:
+            raise AllocError(f"{meta_path}:{line}: {exc}") from exc
+        if first is None:
+            first = shared
+        elif shared != first:
+            raise AllocError(
+                f"{meta_path}:{line}: budget/eps fields {shared} differ from the first row's {first}"
+            )
+    budget, eps_dt, eps_do, strict_eps_one = first
     return AllocationProblem(
         cade=cade,
         costs=costs,
@@ -636,4 +711,5 @@ def load_problem(directory: str | Path) -> AllocationProblem:
         groups=np.asarray(groups, dtype=int),
         eps_dt=eps_dt,
         eps_do=eps_do,
+        strict_eps_one=strict_eps_one,
     )

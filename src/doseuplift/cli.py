@@ -13,6 +13,7 @@ from .alloc import (
     load_problem,
     solve_bnb,
     solve_dp,
+    solve_exact,
     solve_greedy,
 )
 from .datagen import (
@@ -34,7 +35,6 @@ from .estimators import (
     save_cade_csv,
 )
 from .experiments import ExperimentConfig, load_config
-from .metrics import solve_exact
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:

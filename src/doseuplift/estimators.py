@@ -27,6 +27,9 @@ __all__ = [
     "cross_validate_rf",
     "save_cade_csv",
     "load_cade_csv",
+    "write_dose_csv",
+    "read_dose_csv",
+    "read_entity_csv",
 ]
 
 
@@ -248,25 +251,55 @@ def _dose_label(d: float) -> str:
     return f"dose_{float(d)!r}"
 
 
-def save_cade_csv(matrix: CadeMatrix, path: str | Path) -> None:
-    """Write `entity,dose_0,...` rows at full precision."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def write_dose_csv(path: str | Path, doses: np.ndarray, values: np.ndarray) -> None:
+    """Write `entity,dose_0.0,...` rows, one per entity, at full precision."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["entity"] + [_dose_label(d) for d in matrix.doses])
-        for i in range(matrix.n):
-            writer.writerow([str(i)] + [repr(float(v)) for v in matrix.values[i]])
+        writer.writerow(["entity"] + [_dose_label(d) for d in doses])
+        for i, row in enumerate(values):
+            writer.writerow([str(i)] + [repr(float(v)) for v in row])
+
+
+def read_entity_csv(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header, then ``(line number, fields after the id)`` per data row.
+
+    The first column must hold the entity ids 0..n-1 in order.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if row[0] != str(len(rows)):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: entity id {row[0]!r}, expected {len(rows)}"
+                )
+            rows.append((reader.line_num, row[1:]))
+    return header, rows
+
+
+def read_dose_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Dose grid and per-entity values of a file written by ``write_dose_csv``."""
+    path = Path(path)
+    header, rows = read_entity_csv(path)
+    if not header or header[0] != "entity" or not all(h.startswith("dose_") for h in header[1:]):
+        raise ValueError(f"{path}:1: not a dose-labeled CSV")
+    doses = np.asarray([float(h[len("dose_"):]) for h in header[1:]])
+    values = []
+    for line, fields in rows:
+        if len(fields) != len(doses):
+            raise ValueError(f"{path}:{line}: {len(fields)} values for {len(doses)} doses")
+        values.append([float(v) for v in fields])
+    return doses, np.asarray(values)
+
+
+def save_cade_csv(matrix: CadeMatrix, path: str | Path) -> None:
+    """Write `entity,dose_0.0,...` rows at full precision."""
+    write_dose_csv(path, matrix.doses, matrix.values)
 
 
 def load_cade_csv(path: str | Path, provenance: str = "estimated") -> CadeMatrix:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "entity" or not all(
-            h.startswith("dose_") for h in header[1:]
-        ):
-            raise ValueError(f"{path}: not a dose-effect CSV")
-        doses = np.asarray([float(h[len("dose_"):]) for h in header[1:]])
-        rows = [[float(v) for v in row[1:]] for row in reader if row]
-    return CadeMatrix(values=np.asarray(rows), doses=doses, provenance=provenance)
+    doses, values = read_dose_csv(path)
+    return CadeMatrix(values=values, doses=doses, provenance=provenance)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import make_problem, solve_bnb, solve_greedy
+from .alloc import make_problem, solve_bnb, solve_exact, solve_exact_sweep, solve_greedy
 from .datagen import (
     CovariateTable,
     CONTINUOUS_COLS,
@@ -35,7 +35,7 @@ from .estimators import (
     mise,
     oracle_estimator,
 )
-from .metrics import ValueCurve, auuc, fairness_report, solve_exact, value_curve
+from .metrics import ValueCurve, auuc, fairness_report, value_curve
 
 
 class ConfigError(ValueError):
@@ -321,17 +321,20 @@ def run_exp1(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
         est = build_estimator(name, cfg, ds, gt)
         est_cade = cade_matrix(est, ds, cfg.delta)
         row = [name, _fmt(mise(est, gt, ds))]
+        # one curve per solver over the full grid; each cap reads a prefix of it
+        presc_curves = {
+            solver: value_curve(
+                make_problem(est_cade, budget=0.0, groups=ds.protected),
+                grid,
+                solver=solver,
+                evaluation=true_cade,
+            )
+            for solver in ("greedy", "exact")
+        }
         for cap in cfg.auuc_caps:
             for solver in ("greedy", "exact"):
-                presc = value_curve(
-                    make_problem(est_cade, budget=0.0, groups=ds.protected),
-                    grid,
-                    solver=solver,
-                    evaluation=true_cade,
-                )
-                row.append(
-                    _fmt(auuc(_slice_curve(presc, cap), _slice_curve(opt_curves[solver], cap)))
-                )
+                presc = _slice_curve(presc_curves[solver], cap)
+                row.append(_fmt(auuc(presc, _slice_curve(opt_curves[solver], cap))))
         rows.append(row)
 
     header = ["estimator", "mise"]
@@ -365,12 +368,10 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         est = build_estimator(cfg.estimator, gcfg, ds, gt)
         est_cade = cade_matrix(est, ds, cfg.delta)
 
-        opt_values = {
-            b: solve_exact(
-                make_problem(true_cade, budget=b, groups=ds.protected)
-            ).objective
-            for b in cfg.budgets
-        }
+        opt_reports = solve_exact_sweep(
+            make_problem(true_cade, budget=0.0, groups=ds.protected), cfg.budgets
+        )
+        opt_values = {b: r.objective for b, r in zip(cfg.budgets, opt_reports)}
         rows = []
         for eps_dt in cfg.eps_dt_grid:
             for eps_do in cfg.eps_do_grid:
@@ -446,14 +447,16 @@ def run_exp3(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     est_cade = cade_matrix(est, ds, cfg.delta)
     benefits = benefit_vector(cfg, ds.n)
 
+    uplift_opt = solve_exact_sweep(
+        make_problem(est_cade, budget=0.0, groups=ds.protected), cfg.budgets
+    )
+    value_opt = solve_exact_sweep(
+        make_problem(est_cade, budget=0.0, groups=ds.protected, benefits=benefits), cfg.budgets
+    )
     rows = []
-    for b in cfg.budgets:
-        pol_u = solve_exact(make_problem(est_cade, budget=b, groups=ds.protected)).policy
-        pol_v = solve_exact(
-            make_problem(est_cade, budget=b, groups=ds.protected, benefits=benefits)
-        ).policy
-        gains_u = np.sum(pol_u.matrix * true_cade.values, axis=1)
-        gains_v = np.sum(pol_v.matrix * true_cade.values, axis=1)
+    for b, rep_u, rep_v in zip(cfg.budgets, uplift_opt, value_opt):
+        gains_u = np.sum(rep_u.policy.matrix * true_cade.values, axis=1)
+        gains_v = np.sum(rep_v.policy.matrix * true_cade.values, axis=1)
         rows.append(
             [
                 _fmt(b),

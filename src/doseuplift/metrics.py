@@ -8,13 +8,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import (
+# solve_bnb, solve_dp and solve_exact are not called here but stay importable
+# from this module: callers import solve_exact from here, and the perfbench
+# tracer patches the solver names in this namespace.
+from .alloc import (  # noqa: F401
     AllocationProblem,
     Policy,
-    SolveReport,
     policy_value,
     solve_bnb,
     solve_dp,
+    solve_exact,
+    solve_exact_sweep,
     solve_greedy,
 )
 from .estimators import CadeMatrix
@@ -73,21 +77,6 @@ def regret_norm(v_opt: float, v_presc: float) -> float:
     return (v_opt - v_presc) / v_opt
 
 
-def dp_applicable(problem: AllocationProblem) -> bool:
-    """Budget-only problems whose costs are integral at the grid resolution."""
-    if problem.active_fairness():
-        return False
-    scaled = problem.costs * problem.delta
-    return bool(np.max(np.abs(scaled - np.rint(scaled))) <= 1e-9)
-
-
-def solve_exact(problem: AllocationProblem, **bnb_kwargs) -> SolveReport:
-    """Exact solve, dispatching to the knapsack DP when it applies."""
-    if dp_applicable(problem):
-        return solve_dp(problem)
-    return solve_bnb(problem, **bnb_kwargs)
-
-
 def value_curve(
     problem: AllocationProblem,
     budgets,
@@ -99,22 +88,18 @@ def value_curve(
 
     ``evaluation=None`` scores policies against the problem's own dose-effect
     matrix (the solved objective). Passing the ground-truth matrix instead
-    yields the realized-value curve of an estimated policy.
+    yields the realized-value curve of an estimated policy. The exact curve
+    of a budget-only problem comes from one DP table for the whole grid.
     """
     budgets = np.asarray(budgets, dtype=float)
     eval_cade = evaluation if evaluation is not None else problem.cade
-    values = []
-    for b in budgets:
-        try:
-            if solver == "greedy":
-                report = solve_greedy(problem.with_budget(float(b)))
-            elif solver == "exact":
-                report = solve_exact(problem.with_budget(float(b)), **bnb_kwargs)
-            else:
-                raise MetricError(f"unknown solver {solver!r}")
-            values.append(policy_value(report.policy, eval_cade, problem.benefits))
-        except Exception as exc:
-            raise RuntimeError(f"curve solve failed at budget {b}") from exc
+    if solver == "greedy":
+        reports = [solve_greedy(problem.with_budget(float(b))) for b in budgets]
+    elif solver == "exact":
+        reports = solve_exact_sweep(problem, budgets, **bnb_kwargs)
+    else:
+        raise MetricError(f"unknown solver {solver!r}")
+    values = [policy_value(r.policy, eval_cade, problem.benefits) for r in reports]
     provenance = f"{solver}/{problem.cade.provenance}->{eval_cade.provenance}"
     return ValueCurve(budgets=budgets, values=np.asarray(values), provenance=provenance)
 

@@ -1,13 +1,18 @@
 """Tests for the dose-allocation solvers and their shared contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doseuplift.alloc import (
     AllocError,
     AllocationProblem,
     Policy,
     brute_force,
+    dp_applicable,
     fairness_violation,
     flattening_budget,
     load_problem,
@@ -18,6 +23,9 @@ from doseuplift.alloc import (
     save_problem,
     solve_bnb,
     solve_dp,
+    solve_dp_sweep,
+    solve_exact,
+    solve_exact_sweep,
     solve_greedy,
 )
 from doseuplift.estimators import CadeMatrix
@@ -221,6 +229,99 @@ def test_dp_matches_bnb_on_random_instances():
         _assert_policy_contract(prob, bb)
 
 
+# values from a short list, so exact ties and 1e-12 near-ties are common
+_TIE_VALUES = [-0.3, 0.0, 0.1, 0.1 + 1e-12, 0.2, 0.2 - 1e-12, 0.5]
+
+
+@st.composite
+def _sweep_instances(draw):
+    """Budget-only problems with integral costs, repeated entities and a budget grid."""
+    delta = draw(st.integers(1, 4))
+    n_unique = draw(st.integers(1, 5))
+    rows = [
+        [0.0] + draw(st.lists(st.sampled_from(_TIE_VALUES), min_size=delta, max_size=delta))
+        for _ in range(n_unique)
+    ]
+    order = draw(st.lists(st.integers(0, n_unique - 1), min_size=1, max_size=9))
+    cade = _cade([rows[k] for k in order])  # repeated indices are duplicate entities
+    if draw(st.booleans()):
+        costs = proportional_costs(cade)
+    else:  # integral at resolution delta, zero-cost doses above 0 included
+        units = [[0] + draw(st.lists(st.integers(0, 2 * delta), min_size=delta, max_size=delta))
+                 for _ in order]
+        costs = np.asarray(units, dtype=float) / delta
+    benefits = np.asarray(draw(st.lists(st.sampled_from([0.5, 1.0, 1.5]),
+                                        min_size=len(order), max_size=len(order))))
+    prob = AllocationProblem(cade=cade, costs=costs, benefits=benefits, budget=0.0,
+                             groups=np.zeros(len(order), dtype=int))
+    flat = flattening_budget(prob)
+    extra = draw(st.lists(st.floats(0.0, 1.5 * float(costs.max(axis=1).sum()) + 1.0), max_size=6))
+    return prob, [0.0, flat, flat + 1.0] + extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sweep_instances())
+def test_dp_sweep_matches_per_budget_dp(instance):
+    prob, budgets = instance
+    sweep = solve_dp_sweep(prob, budgets)
+    assert len(sweep) == len(budgets)
+    for b, rep in zip(budgets, sweep):
+        one = solve_dp(prob.with_budget(b))
+        assert np.array_equal(rep.policy.matrix, one.policy.matrix), b
+        assert rep.objective == one.objective
+        assert rep.status == "optimal" and rep.best_bound == rep.objective
+        _assert_policy_contract(prob.with_budget(b), rep)
+
+
+def test_dp_sweep_matches_per_budget_dp_at_scale():
+    # a wide table: 120 entities, 11 doses, budgets up to the slack point
+    rng = np.random.default_rng(8)
+    vals = np.round(rng.uniform(-0.4, 0.9, size=(120, 11)), 2)  # rounding makes ties
+    vals[:, 0] = 0.0
+    prob = make_problem(_cade(vals), budget=0.0, groups=np.zeros(120, dtype=int))
+    budgets = [37.5, 0.0, 5.0, 12.3, flattening_budget(prob) + 2.0, 25.0]
+    for b, rep in zip(budgets, solve_dp_sweep(prob, budgets)):
+        one = solve_dp(prob.with_budget(b))
+        assert np.array_equal(rep.policy.matrix, one.policy.matrix), b
+        assert rep.objective == one.objective
+
+
+def test_dp_sweep_empty_and_invalid_budgets():
+    prob = _two_entity_problem(budget=1.0)
+    assert solve_dp_sweep(prob, []) == []
+    for bad in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(AllocError, match="budget"):
+            solve_dp_sweep(prob, [1.0, bad])
+
+
+def test_dp_sweep_refuses_what_solve_dp_refuses():
+    with pytest.raises(AllocError, match="fairness"):
+        solve_dp_sweep(_two_entity_problem(budget=1.0, eps_do=0.2), [1.0])
+    cade = _cade([[0.0, 0.3, 0.6]])
+    prob = AllocationProblem(
+        cade=cade, costs=np.asarray([[0.0, 0.123456789, 0.5]]), benefits=np.ones(1),
+        budget=1.0, groups=np.asarray([0]),
+    )
+    with pytest.raises(AllocError, match="solve_bnb"):
+        solve_dp_sweep(prob, [1.0])
+
+
+def test_exact_sweep_dispatch_matches_solve_exact():
+    rng = np.random.default_rng(5)
+    paths = set()
+    for trial in range(6):
+        # with fairness or non-integral costs the sweep falls back to one B&B per budget
+        prob = _random_problem(rng, n_max=6, delta_max=3, proportional=trial % 2 == 0,
+                               with_eps=trial >= 3)
+        paths.add(dp_applicable(prob))
+        budgets = [0.0, 0.4, 1.0, 2.5]
+        for b, rep in zip(budgets, solve_exact_sweep(prob, budgets)):
+            one = solve_exact(prob.with_budget(b))
+            assert np.array_equal(rep.policy.matrix, one.policy.matrix), (trial, b)
+            assert rep.objective == one.objective
+    assert paths == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # branch and bound
 # ---------------------------------------------------------------------------
@@ -401,14 +502,61 @@ def test_brute_force_rejects_huge_instances():
 def test_problem_roundtrip(tmp_path):
     rng = np.random.default_rng(21)
     prob = _random_problem(rng, proportional=False, with_eps=True)
+    for strict in (False, True):
+        prob = replace(prob, strict_eps_one=strict)
+        save_problem(prob, tmp_path)
+        back = load_problem(tmp_path)
+        assert np.array_equal(back.cade.values, prob.cade.values)
+        assert np.array_equal(back.costs, prob.costs)
+        assert np.array_equal(back.benefits, prob.benefits)
+        assert np.array_equal(back.groups, prob.groups)
+        assert back.budget == prob.budget
+        assert back.eps_dt == prob.eps_dt and back.eps_do == prob.eps_do
+        assert back.strict_eps_one is strict
+
+
+def _saved_problem(tmp_path):
+    prob = _two_entity_problem(budget=1.5, eps_dt=1.0, strict_eps_one=True)
     save_problem(prob, tmp_path)
+    return prob
+
+
+def _edit(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def test_load_problem_reads_six_column_meta_as_not_strict(tmp_path):
+    _saved_problem(tmp_path)
+    meta = tmp_path / "meta.csv"
+    lines = meta.read_text().splitlines()
+    meta.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+    assert meta.read_text().startswith("entity,benefit,group,budget,eps_dt,eps_do\n")
     back = load_problem(tmp_path)
-    assert np.array_equal(back.cade.values, prob.cade.values)
-    assert np.array_equal(back.costs, prob.costs)
-    assert np.array_equal(back.benefits, prob.benefits)
-    assert np.array_equal(back.groups, prob.groups)
-    assert back.budget == prob.budget
-    assert back.eps_dt == prob.eps_dt and back.eps_do == prob.eps_do
+    assert back.strict_eps_one is False and back.eps_dt == 1.0
+
+
+def test_load_problem_rejects_cost_header_unlike_cade(tmp_path):
+    _saved_problem(tmp_path)
+    _edit(tmp_path / "cost.csv", "dose_0.5", "dose_0.25")
+    with pytest.raises(AllocError, match=r"cost\.csv:1: dose columns"):
+        load_problem(tmp_path)
+
+
+def test_load_problem_rejects_inconsistent_meta_rows(tmp_path):
+    _saved_problem(tmp_path)
+    _edit(tmp_path / "meta.csv", "1,1.0,1,1.5,", "1,1.0,1,2.5,")  # entity 1's budget
+    with pytest.raises(AllocError, match=r"meta\.csv:3: budget/eps"):
+        load_problem(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["cade.csv", "cost.csv", "meta.csv"])
+def test_load_problem_rejects_out_of_order_entity_ids(tmp_path, name):
+    _saved_problem(tmp_path)
+    _edit(tmp_path / name, "\n1,", "\n2,")
+    with pytest.raises(ValueError, match=rf"{name}:3: entity id '2', expected 1"):
+        load_problem(tmp_path)
 
 
 def test_report_csv_row():

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from doseuplift.alloc import Policy, make_problem, solve_bnb
+from doseuplift.alloc import (
+    AllocError,
+    Policy,
+    make_problem,
+    policy_value,
+    solve_bnb,
+    solve_exact,
+)
 from doseuplift.datagen import GenConfig, generate_dataset, synth_covariates
 from doseuplift.estimators import (
     CadeMatrix,
@@ -99,6 +106,51 @@ def test_prescribed_curve_below_optimal(pipeline):
         make_problem(true_cade, budget=0.0, groups=ds.protected), budgets, solver="exact"
     )
     assert np.all(presc.values <= opt.values + 1e-9)
+
+
+def _per_budget_curve(prob, budgets, evaluation):
+    """The exact curve as one solve_exact per budget: the reference for the sweep."""
+    return np.asarray([
+        policy_value(solve_exact(prob.with_budget(float(b))).policy, evaluation, prob.benefits)
+        for b in budgets
+    ])
+
+
+def test_exact_curve_equals_per_budget_solves(pipeline):
+    ds, gt, true_cade = pipeline
+    rng = np.random.default_rng(4)
+    noisy = CadeMatrix(  # an estimate-like matrix, scored against the truth
+        values=np.clip(true_cade.values + rng.normal(0, 0.05, true_cade.values.shape), -1, 1)
+        * (np.arange(11) > 0),
+        doses=true_cade.doses,
+        provenance="estimated",
+    )
+    prob = make_problem(noisy, budget=0.0, groups=ds.protected, benefits=rng.uniform(0.5, 1.5, 120))
+    budgets = np.arange(2.0, 62.0, 4.0)
+    curve = value_curve(prob, budgets, solver="exact", evaluation=true_cade)
+    assert np.array_equal(curve.values, _per_budget_curve(prob, budgets, true_cade))
+
+
+def test_exact_fairness_curve_equals_per_budget_bnb(pipeline):
+    ds, gt, true_cade = pipeline
+    small = CadeMatrix(values=true_cade.values[:10, :5], doses=true_cade.doses[:5] * 2.5,
+                       provenance="ground-truth")
+    prob = make_problem(small, budget=0.0, groups=ds.protected[:10], eps_dt=0.25)
+    assert prob.active_fairness()
+    budgets = [0.5, 1.0, 2.0, 3.0]
+    curve = value_curve(prob, budgets, solver="exact")
+    assert np.array_equal(curve.values, _per_budget_curve(prob, budgets, small))
+
+
+@pytest.mark.parametrize("solver", ["greedy", "exact"])
+def test_value_curve_empty_and_invalid_budgets(pipeline, solver):
+    ds, gt, true_cade = pipeline
+    prob = make_problem(true_cade, budget=0.0, groups=ds.protected)
+    curve = value_curve(prob, [], solver=solver)
+    assert curve.budgets.shape == (0,) and curve.values.shape == (0,)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(AllocError, match="budget"):
+            value_curve(prob, [1.0, bad], solver=solver)
 
 
 def test_value_curve_rejects_unsorted_budgets():
