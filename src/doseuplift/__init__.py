@@ -32,8 +32,6 @@ from .datagen import (
     load_dataset,
     save_dataset,
     synth_covariates,
-    true_cade_matrix_values,
-    true_cade_vector,
     true_cadr,
     true_cadr_grid,
 )
@@ -46,7 +44,6 @@ from .estimators import (
     fit_rf_slearner,
     mise,
     oracle_estimator,
-    true_cade_matrix,
 )
 from .lpcore import LpProblem, LpSolution, solve_lp
 from .metrics import (

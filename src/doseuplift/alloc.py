@@ -9,11 +9,13 @@ feasible and infeasibility can never arise from the budget alone.
 
 from __future__ import annotations
 
+import copy
 import csv
 import heapq
+import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,21 @@ class AllocError(ValueError):
     """Raised for malformed allocation problems or unsupported solver inputs."""
 
 
+def _check_budget(budget) -> None:
+    if not np.isfinite(budget) or budget < 0:
+        raise AllocError(f"budget must be finite and >= 0, got {budget!r}")
+
+
+def _stacklevel_outside_package() -> int:
+    """``warnings.warn`` stacklevel of the innermost caller outside this package."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith(
+        __package__ + "."
+    ):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass(frozen=True)
 class AllocationProblem:
     """Dose-effect matrix plus costs, benefits, budget, and fairness slacks.
@@ -44,7 +61,8 @@ class AllocationProblem:
     ``eps_dt`` bounds the relative gap in mean assigned dose between the two
     groups; ``eps_do`` does the same for mean estimated outcome gain. ``None``
     disables a constraint; a slack >= 1 also disables it unless
-    ``strict_eps_one`` keeps the literal inequality pair active.
+    ``strict_eps_one`` keeps the literal inequality pair active. Which pairs
+    apply is decided once, at construction (see ``active_fairness``).
     """
 
     cade: CadeMatrix
@@ -55,6 +73,7 @@ class AllocationProblem:
     eps_dt: float | None = None
     eps_do: float | None = None
     strict_eps_one: bool = False
+    _fairness: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         costs = np.asarray(self.costs, dtype=float)
@@ -70,14 +89,28 @@ class AllocationProblem:
             raise AllocError("benefit vector must have one entry per entity")
         if groups.shape != (self.cade.n,) or not np.all((groups == 0) | (groups == 1)):
             raise AllocError("groups must be 0/1 with one entry per entity")
-        if not np.isfinite(self.budget) or self.budget < 0:
-            raise AllocError(f"budget must be finite and >= 0, got {self.budget!r}")
+        _check_budget(self.budget)
         for eps in (self.eps_dt, self.eps_do):
             if eps is not None and not (0.0 <= eps <= 1.0):
                 raise AllocError("fairness slacks must lie in [0, 1] or be None")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "benefits", benefits)
         object.__setattr__(self, "groups", groups)
+
+        pairs = []
+        for kind, eps in (("dose", self.eps_dt), ("outcome", self.eps_do)):
+            if eps is None or (eps >= 1.0 and not self.strict_eps_one):
+                continue
+            shape = self.cade.values.shape
+            weights = np.broadcast_to(self.cade.doses, shape) if kind == "dose" else self.cade.values
+            pairs.append((kind, float(eps), weights))
+        if pairs and not (np.any(groups == 0) and np.any(groups == 1)):
+            warnings.warn(
+                "one protected group is empty; fairness constraints skipped",
+                stacklevel=_stacklevel_outside_package(),
+            )
+            pairs = []
+        object.__setattr__(self, "_fairness", tuple(pairs))
 
     @property
     def n(self) -> int:
@@ -91,27 +124,17 @@ class AllocationProblem:
         return self.cade.values * self.benefits[:, None]
 
     def with_budget(self, budget: float) -> "AllocationProblem":
-        return replace(self, budget=budget)
+        """The same problem at another budget; fairness is not resolved again."""
+        _check_budget(budget)
+        other = copy.copy(self)
+        object.__setattr__(other, "budget", budget)
+        return other
 
-    def active_fairness(self) -> list[tuple[str, float]]:
-        """Constraint pairs that actually apply, after slack and group checks."""
-        pairs = []
-        for kind, eps in (("dose", self.eps_dt), ("outcome", self.eps_do)):
-            if eps is None:
-                continue
-            if eps >= 1.0 and not self.strict_eps_one:
-                continue
-            pairs.append((kind, float(eps)))
-        if pairs:
-            n0 = int(np.sum(self.groups == 0))
-            n1 = int(np.sum(self.groups == 1))
-            if n0 == 0 or n1 == 0:
-                warnings.warn(
-                    "one protected group is empty; fairness constraints skipped",
-                    stacklevel=3,
-                )
-                return []
-        return pairs
+    def active_fairness(self) -> tuple[tuple[str, float, np.ndarray], ...]:
+        """``(kind, eps, weights)`` for each constraint pair that applies, after
+        slack and group checks; the (n, delta+1) ``weights`` hold the per-entry
+        dose (kind "dose") or effect (kind "outcome") whose group means it bounds."""
+        return self._fairness
 
 
 def proportional_costs(cade: CadeMatrix) -> np.ndarray:
@@ -222,18 +245,13 @@ def policy_value(policy: Policy, cade: CadeMatrix, benefits: np.ndarray | None =
 def _group_means(policy: Policy, weights: np.ndarray, groups: np.ndarray) -> tuple[float, float]:
     """Per-group means of the policy-selected entries of ``weights``."""
     picked = np.sum(policy.matrix * weights, axis=1)
-    m0 = float(picked[groups == 0].mean()) if np.any(groups == 0) else 0.0
-    m1 = float(picked[groups == 1].mean()) if np.any(groups == 1) else 0.0
-    return m0, m1
+    return float(picked[groups == 0].mean()), float(picked[groups == 1].mean())
 
 
 def fairness_violation(prob: AllocationProblem, policy: Policy) -> float:
     """Largest violation of the active fairness inequalities (0 when none)."""
     worst = 0.0
-    for kind, eps in prob.active_fairness():
-        weights = (
-            np.tile(prob.cade.doses, (prob.n, 1)) if kind == "dose" else prob.cade.values
-        )
+    for _, eps, weights in prob.active_fairness():
         m0, m1 = _group_means(policy, weights, prob.groups)
         worst = max(worst, (1.0 - eps) * m1 - m0, m0 - (1.0 + eps) * m1)
     return worst
@@ -282,27 +300,26 @@ def solve_greedy(prob: AllocationProblem) -> SolveReport:
     return _finish("heuristic", objective, policy, 0, None, None, t0)
 
 
-def _integral_costs(prob: AllocationProblem, resolution: int) -> np.ndarray | None:
-    """Costs scaled to exact integers at ``resolution``; None when they are not."""
-    scaled = prob.costs * resolution
+def _integral_costs(prob: AllocationProblem) -> np.ndarray | None:
+    """Costs scaled to exact integers at the grid resolution (``delta`` units
+    per unit of cost); None when they are not."""
+    scaled = prob.costs * prob.delta
     int_costs = np.rint(scaled).astype(np.int64)
     if np.max(np.abs(scaled - int_costs)) > 1e-9:
         return None
     return int_costs
 
 
-def solve_dp(prob: AllocationProblem, cost_resolution: int | None = None) -> SolveReport:
+def solve_dp(prob: AllocationProblem) -> SolveReport:
     """Exact multi-choice knapsack DP for budget-only problems.
 
-    Costs must scale to exact integers at the chosen resolution; anything
+    Costs must scale to exact integers at the grid resolution; anything
     else is refused rather than silently rounded.
     """
-    return solve_dp_sweep(prob, [prob.budget], cost_resolution)[0]
+    return solve_dp_sweep(prob, [prob.budget])[0]
 
 
-def solve_dp_sweep(
-    prob: AllocationProblem, budgets, cost_resolution: int | None = None
-) -> list[SolveReport]:
+def solve_dp_sweep(prob: AllocationProblem, budgets) -> list[SolveReport]:
     """``solve_dp`` at every budget of a sweep, from one DP table.
 
     The table is built once, up to the largest budget's capacity, and each
@@ -314,23 +331,19 @@ def solve_dp_sweep(
     t0 = time.perf_counter()
     if prob.active_fairness():
         raise AllocError("DP solver does not support fairness constraints")
-    if cost_resolution is None:
-        cost_resolution = prob.delta
-    if cost_resolution < 1:
-        raise AllocError("cost_resolution must be >= 1")
-    int_costs = _integral_costs(prob, cost_resolution)
+    int_costs = _integral_costs(prob)
     if int_costs is None:
         raise AllocError(
-            "costs are not integral at this resolution; use solve_bnb instead"
+            "costs are not integral at the grid resolution; use solve_bnb instead"
         )
     slack_cap = int(int_costs.max(axis=1).sum())  # beyond this, budget is slack
     budgets = [prob.with_budget(float(b)).budget for b in budgets]  # validates each
-    caps = [min(int(np.floor(b * cost_resolution + BUDGET_TOL)), slack_cap) for b in budgets]
+    caps = [min(int(np.floor(b * prob.delta + BUDGET_TOL)), slack_cap) for b in budgets]
     if not caps:
         return []
     cap = max(caps)
     if (cap + 1) * prob.n > 200_000_000:
-        raise AllocError("DP table too large; use solve_bnb or a coarser resolution")
+        raise AllocError("DP table too large; use solve_bnb instead")
 
     values = prob.value_matrix()
     dp = np.zeros(cap + 1)
@@ -374,14 +387,12 @@ def solve_dp_sweep(
 
 def dp_applicable(prob: AllocationProblem) -> bool:
     """Budget-only problems whose costs are integral at the grid resolution."""
-    return not prob.active_fairness() and _integral_costs(prob, prob.delta) is not None
+    return not prob.active_fairness() and _integral_costs(prob) is not None
 
 
 def solve_exact(prob: AllocationProblem, **bnb_kwargs) -> SolveReport:
     """Exact solve, dispatching to the knapsack DP when it applies."""
-    if dp_applicable(prob):
-        return solve_dp(prob)
-    return solve_bnb(prob, **bnb_kwargs)
+    return solve_exact_sweep(prob, [prob.budget], **bnb_kwargs)[0]
 
 
 def solve_exact_sweep(prob: AllocationProblem, budgets, **bnb_kwargs) -> list[SolveReport]:
@@ -420,10 +431,7 @@ def _build_lp(prob: AllocationProblem) -> LpProblem:
     g0 = prob.groups == 0
     g1 = prob.groups == 1
     n0, n1 = int(g0.sum()), int(g1.sum())
-    for kind, eps in fair:
-        weights = (
-            np.tile(prob.cade.doses, (n, 1)) if kind == "dose" else prob.cade.values
-        )
+    for _, eps, weights in fair:
         w = weights[:, 1:]
         coef0 = np.where(g0[:, None], w / n0, 0.0).ravel()
         coef1 = np.where(g1[:, None], w / n1, 0.0).ravel()
@@ -444,12 +452,9 @@ def _build_lp(prob: AllocationProblem) -> LpProblem:
 
 
 def _policy_from_lp_x(x: np.ndarray, n: int, delta: int) -> Policy:
-    assign = np.zeros(n, dtype=int)
     mat = x.reshape(n, delta)
-    for i in range(n):
-        d = int(np.argmax(mat[i]))
-        if mat[i, d] > 0.5:
-            assign[i] = d + 1
+    best = np.argmax(mat, axis=1)
+    assign = np.where(mat[np.arange(n), best] > 0.5, best + 1, 0)
     return Policy.from_dose_indices(assign, delta + 1)
 
 
@@ -459,11 +464,7 @@ def _policy_feasible(prob: AllocationProblem, policy: Policy) -> bool:
     return fairness_violation(prob, policy) <= FAIRNESS_TOL
 
 
-def solve_bnb(
-    prob: AllocationProblem,
-    node_limit: int = 1_000_000,
-    int_tol: float = INT_TOL,
-) -> SolveReport:
+def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveReport:
     """Exact branch-and-bound over the LP relaxation.
 
     Best-bound node order, branching on the most fractional variable (fixed
@@ -537,7 +538,7 @@ def solve_bnb(
         frac = np.minimum(sol.x - np.floor(sol.x), np.ceil(sol.x) - sol.x)
         frac[upper - lower <= 0] = 0.0
         max_frac = float(frac.max(initial=0.0))
-        if max_frac <= int_tol:
+        if max_frac <= INT_TOL:
             if _policy_feasible(prob, candidate):
                 continue  # node solved exactly by its integral LP optimum
             if max_frac <= 1e-12:
@@ -571,13 +572,8 @@ def brute_force(prob: AllocationProblem) -> SolveReport:
         raise AllocError("instance too large for brute force")
 
     values = prob.value_matrix()
-    fair = prob.active_fairness()
     g0 = prob.groups == 0
     g1 = prob.groups == 1
-    fair_weights = [
-        (np.tile(prob.cade.doses, (n, 1)) if kind == "dose" else prob.cade.values, eps)
-        for kind, eps in fair
-    ]
     strides = [n_doses ** (n - 1 - i) for i in range(n)]
 
     best_obj = -np.inf
@@ -592,7 +588,7 @@ def brute_force(prob: AllocationProblem) -> SolveReport:
             total_value += values[i, digits[i]]
             total_cost += prob.costs[i, digits[i]]
         feasible = total_cost <= prob.budget + BUDGET_TOL
-        for weights, eps in fair_weights:
+        for _, eps, weights in prob.active_fairness():
             sum0 = np.zeros(idx.shape[0])
             sum1 = np.zeros(idx.shape[0])
             for i in range(n):

@@ -34,7 +34,7 @@ from .estimators import (
     oracle_estimator,
     save_cade_csv,
 )
-from .experiments import ExperimentConfig, load_config
+from .experiments import ExperimentConfig, gen_config, load_config, parse_feature_subsample
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -62,15 +62,7 @@ def _cmd_generate(args) -> int:
         cov = load_covariates(args.data, has_header=has_header)
     else:
         raise SystemExit("generate requires --data PATH or --synthetic N")
-    gen = GenConfig(
-        seed=args.seed,
-        treatment_noise_variance=args.treatment_noise_variance,
-        outcome_noise_variance=args.outcome_noise_variance,
-        gamma=args.gamma,
-        gamma_scale=args.gamma_scale,
-        protected_feature=args.protected_feature,
-    )
-    ds, gt = generate_dataset(cov, gen)
+    ds, gt = generate_dataset(cov, gen_config(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out / "dataset.csv")
@@ -147,33 +139,10 @@ def _cmd_allocate(args) -> int:
     return 0
 
 
-def _cmd_exp1(args) -> int:
-    path = experiments.run_exp1(_config_from_args(args), args.out)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_exp2(args) -> int:
-    for path in experiments.run_exp2(_config_from_args(args), args.out):
+def _cmd_experiment(args) -> int:
+    paths = args.runner(_config_from_args(args), args.out)
+    for path in paths if isinstance(paths, list) else [paths]:
         print(f"wrote {path}")
-    return 0
-
-
-def _cmd_exp3(args) -> int:
-    path = experiments.run_exp3(_config_from_args(args), args.out)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_scalability(args) -> int:
-    path = experiments.run_scalability(_config_from_args(args), args.out)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_delta_sweep(args) -> int:
-    path = experiments.run_delta_sweep(_config_from_args(args), args.out)
-    print(f"wrote {path}")
     return 0
 
 
@@ -183,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Continuous-treatment uplift modeling and dose allocation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    gen, rf = GenConfig(), RfConfig()
 
     p = sub.add_parser("generate", help="generate a semi-synthetic dataset")
     _add_data_args(p)
@@ -192,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--header", choices=["auto", "yes", "no"], default="auto",
         help="whether the covariate CSV has a header row",
     )
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--gamma-scale", type=float, default=0.1)
-    p.add_argument("--protected-feature", type=int, default=7)
-    p.add_argument("--treatment-noise-variance", type=float, default=0.25)
-    p.add_argument("--outcome-noise-variance", type=float, default=0.25)
+    p.add_argument("--gamma", type=float, default=gen.gamma)
+    p.add_argument("--gamma-scale", type=float, default=gen.gamma_scale)
+    p.add_argument("--protected-feature", type=int, default=gen.protected_feature)
+    p.add_argument("--treatment-noise-variance", type=float, default=gen.treatment_noise_variance)
+    p.add_argument("--outcome-noise-variance", type=float, default=gen.outcome_noise_variance)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("fit", help="fit an estimator; export its dose-effect matrix")
@@ -206,11 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
-    p.add_argument("--protected-feature", type=int, default=7)
-    p.add_argument("--trees", type=int, default=200)
-    p.add_argument("--max-depth", type=int, default=15)
-    p.add_argument("--min-samples-leaf", type=int, default=2)
-    p.add_argument("--feature-subsample", default="sqrt")
+    p.add_argument("--protected-feature", type=int, default=gen.protected_feature)
+    p.add_argument("--trees", type=int, default=rf.n_trees)
+    p.add_argument("--max-depth", type=int, default=rf.max_depth)
+    p.add_argument("--min-samples-leaf", type=int, default=rf.min_samples_leaf)
+    p.add_argument(
+        "--feature-subsample", type=parse_feature_subsample, default=rf.feature_subsample,
+        help="sqrt | all | an integer count",
+    )
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--neighbors", type=int, default=10)
     p.set_defaults(func=_cmd_fit)
@@ -222,19 +195,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_allocate)
 
-    for name, func, help_text in (
-        ("exp1", _cmd_exp1, "estimator comparison table"),
-        ("exp2", _cmd_exp2, "fairness trade-off sweep"),
-        ("exp3", _cmd_exp3, "cost-sensitive objective comparison"),
-        ("scalability", _cmd_scalability, "heuristic vs exact runtime scaling"),
-        ("delta-sweep", _cmd_delta_sweep, "dose-grid granularity sweep"),
+    for name, runner, help_text in (
+        ("exp1", experiments.run_exp1, "estimator comparison table"),
+        ("exp2", experiments.run_exp2, "fairness trade-off sweep"),
+        ("exp3", experiments.run_exp3, "cost-sensitive objective comparison"),
+        ("scalability", experiments.run_scalability, "heuristic vs exact runtime scaling"),
+        ("delta-sweep", experiments.run_delta_sweep, "dose-grid granularity sweep"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="experiment config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default="out")
         _add_data_args(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_experiment, runner=runner)
 
     return parser
 

@@ -401,25 +401,6 @@ def dose_grid(delta: int) -> np.ndarray:
     return np.arange(delta + 1) / float(delta)
 
 
-def true_cade_vector(gt: GroundTruth, x: np.ndarray, delta: int) -> np.ndarray:
-    """Ground-truth dose effects at the grid doses; entry for dose 0 is exactly 0."""
-    grid = dose_grid(delta)
-    x_mat = np.asarray(x, dtype=float).reshape(1, N_FEATURES)
-    mu = true_cadr_grid(gt, grid, x_mat)[0]
-    tau = mu - mu[0]
-    tau[0] = 0.0
-    return tau
-
-
-def true_cade_matrix_values(gt: GroundTruth, x_mat: np.ndarray, delta: int) -> np.ndarray:
-    """Stacked ground-truth dose-effect vectors for every row."""
-    grid = dose_grid(delta)
-    mu = true_cadr_grid(gt, grid, x_mat)
-    tau = mu - mu[:, [0]]
-    tau[:, 0] = 0.0
-    return tau
-
-
 def synth_covariates(n: int, seed: int) -> CovariateTable:
     """Synthetic stand-in covariates when no real file is available.
 

@@ -22,7 +22,6 @@ __all__ = [
     "fit_rf_slearner",
     "fit_binned_slearner",
     "cade_matrix",
-    "true_cade_matrix",
     "mise",
     "cross_validate_rf",
     "save_cade_csv",
@@ -41,10 +40,6 @@ class Estimator:
     def predict_mu(self, doses: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
         """Return an (n_rows, n_doses) matrix of mean-outcome estimates."""
         raise NotImplementedError
-
-    def predict_one(self, s: float, x: np.ndarray) -> float:
-        x_mat = np.asarray(x, dtype=float).reshape(1, -1)
-        return float(self.predict_mu(np.asarray([s]), x_mat)[0, 0])
 
 
 class OracleEstimator(Estimator):
@@ -194,24 +189,22 @@ def cade_matrix(est: Estimator, data: Dataset, delta: int) -> CadeMatrix:
     return CadeMatrix(values=tau, doses=grid, provenance=provenance)
 
 
-def true_cade_matrix(gt: GroundTruth, data: Dataset, delta: int) -> CadeMatrix:
-    return cade_matrix(OracleEstimator(gt), data, delta)
-
-
 def _trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     """Composite trapezoid along the last axis with uniform spacing h."""
     return h * (values[..., 0] * 0.5 + values[..., 1:-1].sum(axis=-1) + values[..., -1] * 0.5)
 
 
-def mise(est: Estimator, gt: GroundTruth, data: Dataset, grid_points: int = 101) -> float:
-    """Mean integrated squared error of the estimated dose-response curves."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    grid = np.linspace(0.0, 1.0, grid_points)
+MISE_GRID_POINTS = 101
+
+
+def mise(est: Estimator, gt: GroundTruth, data: Dataset) -> float:
+    """Mean integrated squared error of the estimated dose-response curves,
+    by the trapezoid rule on ``MISE_GRID_POINTS`` equally spaced doses."""
+    grid = np.linspace(0.0, 1.0, MISE_GRID_POINTS)
     mu_true = true_cadr_grid(gt, grid, data.covariates.features)
     mu_hat = est.predict_mu(grid, data.covariates.features)
     sq = (mu_true - mu_hat) ** 2
-    per_row = _trapezoid(sq, 1.0 / (grid_points - 1))
+    per_row = _trapezoid(sq, 1.0 / (MISE_GRID_POINTS - 1))
     return float(per_row.mean())
 
 

@@ -60,7 +60,7 @@ class ExperimentConfig:
     rf_trees: tuple[int, ...] = (200,)
     rf_max_depth: tuple[int | None, ...] = (15,)
     rf_min_samples_leaf: tuple[int, ...] = (2,)
-    rf_feature_subsample: str = "sqrt"
+    rf_feature_subsample: str | int = "sqrt"
     cv_folds: int = 0
     binned_bins: int = 10
     binned_neighbors: int = 10
@@ -105,6 +105,15 @@ def _parse_depths(text: str) -> tuple[int | None, ...]:
     return tuple(out)
 
 
+def parse_feature_subsample(text: str) -> str | int:
+    """``sqrt``, ``all``, or a positive integer count of split features."""
+    if text in ("sqrt", "all"):
+        return text
+    if not text.isdigit() or int(text) < 1:
+        raise ValueError(f"expected sqrt, all or a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_range_or_list(text: str) -> tuple[float, ...]:
     if ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
@@ -131,7 +140,7 @@ _PARSERS = {
     "rf_trees": _parse_int_list,
     "rf_max_depth": _parse_depths,
     "rf_min_samples_leaf": _parse_int_list,
-    "rf_feature_subsample": str,
+    "rf_feature_subsample": parse_feature_subsample,
     "cv_folds": int,
     "binned_bins": int,
     "binned_neighbors": int,
@@ -211,6 +220,12 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def gen_config(source) -> GenConfig:
+    """Generator settings read from the attributes of ``source`` (an
+    ``ExperimentConfig`` or parsed CLI arguments) named like ``GenConfig``'s fields."""
+    return GenConfig(**{f.name: getattr(source, f.name) for f in fields(GenConfig)})
+
+
 def dataset_from_config(cfg: ExperimentConfig) -> tuple[Dataset, object]:
     """Build the experiment dataset; optional deterministic row subsample."""
     kind, _, arg = cfg.data.partition(":")
@@ -226,15 +241,7 @@ def dataset_from_config(cfg: ExperimentConfig) -> tuple[Dataset, object]:
         rng = np.random.default_rng([cfg.seed, 11])
         keep = np.sort(rng.choice(cov.n, size=cfg.subsample, replace=False))
         cov = CovariateTable(features=cov.features[keep])
-    gen = GenConfig(
-        seed=cfg.seed,
-        treatment_noise_variance=cfg.treatment_noise_variance,
-        outcome_noise_variance=cfg.outcome_noise_variance,
-        gamma=cfg.gamma,
-        gamma_scale=cfg.gamma_scale,
-        protected_feature=cfg.protected_feature,
-    )
-    return generate_dataset(cov, gen)
+    return generate_dataset(cov, gen_config(cfg))
 
 
 def rf_grid(cfg: ExperimentConfig) -> list[RfConfig]:
@@ -508,21 +515,11 @@ def run_scalability(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     factors = factors or cfg.factors
-    base_ds, _ = dataset_from_config(cfg)
-    base_cov = base_ds.covariates
-
-    gen = GenConfig(
-        seed=cfg.seed,
-        treatment_noise_variance=cfg.treatment_noise_variance,
-        outcome_noise_variance=cfg.outcome_noise_variance,
-        gamma=cfg.gamma,
-        gamma_scale=cfg.gamma_scale,
-        protected_feature=cfg.protected_feature,
-    )
+    base_cov = dataset_from_config(cfg)[0].covariates
     rows = []
     for factor in factors:
         cov = oversample_covariates(base_cov, factor, cfg.seed)
-        ds, gt = generate_dataset(cov, gen)
+        ds, gt = generate_dataset(cov, gen_config(cfg))
         est = build_estimator(cfg.estimator, cfg, ds, gt)
         cade = cade_matrix(est, ds, cfg.delta)
         prob = make_problem(cade, budget=cfg.sweep_budget * factor, groups=ds.protected)

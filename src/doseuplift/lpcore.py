@@ -209,14 +209,12 @@ class _Tableau:
                     bland = True
 
 
-def solve_lp(
-    problem: LpProblem, max_iterations: int | None = None, verbose: bool = False
-) -> LpSolution:
+def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve the LP; never returns a silently wrong answer.
 
     Phase I introduces artificial variables only for rows whose slack cannot
     absorb the initial residual, so formulations with an all-slack feasible
-    origin skip straight to Phase II. ``verbose`` prints tableau statistics.
+    origin skip straight to Phase II.
     """
     m, n = problem.n_rows, problem.n_cols
     if max_iterations is None:
@@ -239,7 +237,7 @@ def solve_lp(
 
     if nf == 0:
         # everything fixed: feasibility check only
-        viol = _max_violation(problem, lo_s)
+        viol = constraint_violation(problem, lo_s)
         if viol > FEAS_TOL:
             return LpSolution("infeasible", float("nan"), None, 0)
         return LpSolution("optimal", obj_const, lo_s.copy(), 0)
@@ -309,22 +307,12 @@ def solve_lp(
 
     state = _Tableau(a_ext, lo, hi, x, at_upper, basis)
     total_cols = a_ext.shape[1]
-    if verbose:
-        print(
-            f"[lpcore] rows={m} cols={total_cols} fixed={fixed_idx.size} "
-            f"artificials={n_art}"
-        )
 
     if n_art:
         c1 = np.zeros(total_cols)
         c1[n_t:] = -1.0
         state.set_objective(c1)
         status = state.run(max_iterations, allowed=np.ones(total_cols, dtype=bool))
-        if verbose:
-            print(
-                f"[lpcore] phase 1: {status} after {state.iterations} iterations, "
-                f"residual {-state.obj_val:.3e}"
-            )
         if status == "iteration_limit":
             return LpSolution("iteration_limit", float("nan"), None, state.iterations)
         if status == "unbounded":  # phase I is bounded above by zero
@@ -354,11 +342,6 @@ def solve_lp(
     # snap tiny bound violations introduced by float drift
     x_full = np.minimum(np.maximum(x_full, problem.lower), problem.upper)
     objective = float(problem.objective @ x_full)
-    if verbose:
-        print(
-            f"[lpcore] phase 2: optimal after {state.iterations} total iterations, "
-            f"objective {objective:.6f}, max violation {_max_violation(problem, x_full):.2e}"
-        )
     return LpSolution("optimal", objective, x_full, state.iterations)
 
 
@@ -387,7 +370,8 @@ def _drive_out_artificials(state: _Tableau, n_t: int) -> None:
         state.basis = state.basis[keep]
 
 
-def _max_violation(problem: LpProblem, x: np.ndarray) -> float:
+def constraint_violation(problem: LpProblem, x: np.ndarray) -> float:
+    """Largest signed violation of any row of the problem at point x."""
     ax = problem.a_matrix @ x
     worst = 0.0
     for i, s in enumerate(problem.senses):
@@ -398,8 +382,3 @@ def _max_violation(problem: LpProblem, x: np.ndarray) -> float:
         else:
             worst = max(worst, abs(ax[i] - problem.rhs[i]))
     return worst
-
-
-def constraint_violation(problem: LpProblem, x: np.ndarray) -> float:
-    """Largest signed violation of any row of the problem at point x."""
-    return _max_violation(problem, x)

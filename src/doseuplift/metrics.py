@@ -8,9 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-# solve_bnb, solve_dp and solve_exact are not called here but stay importable
-# from this module: callers import solve_exact from here, and the perfbench
-# tracer patches the solver names in this namespace.
+# solve_bnb, solve_dp and solve_exact are not called here; they stay in this
+# namespace only because the benchmark's tracer (perfbench/tracing.py)
+# patches the solver names here.
 from .alloc import (  # noqa: F401
     AllocationProblem,
     Policy,

@@ -1,5 +1,6 @@
 """Tests for the dose-allocation solvers and their shared contracts."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from doseuplift.alloc import (
     solve_greedy,
 )
 from doseuplift.estimators import CadeMatrix
+from doseuplift.metrics import value_curve
 
 
 def _cade(values):
@@ -320,6 +322,35 @@ def test_exact_sweep_dispatch_matches_solve_exact():
             assert np.array_equal(rep.policy.matrix, one.policy.matrix), (trial, b)
             assert rep.objective == one.objective
     assert paths == {True, False}
+
+
+def test_active_fairness_resolved_at_construction():
+    prob = _two_entity_problem(budget=1.0, eps_dt=0.25, eps_do=0.5)
+    (dose_kind, dose_eps, dose_w), (out_kind, out_eps, out_w) = prob.active_fairness()
+    assert (dose_kind, dose_eps, out_kind, out_eps) == ("dose", 0.25, "outcome", 0.5)
+    assert np.array_equal(dose_w, np.tile(prob.cade.doses, (prob.n, 1)))
+    assert out_w is prob.cade.values
+    assert prob.with_budget(0.5).active_fairness() is prob.active_fairness()
+    # a changed slack is a new problem whose pairs are resolved again
+    assert [k for k, _, _ in replace(prob, eps_dt=1.0).active_fairness()] == ["outcome"]
+
+
+def test_empty_group_fairness_warns_once_at_construction():
+    cade = _cade([[0.0, 0.4, 0.3], [0.0, 0.1, 0.5]])
+    with warnings.catch_warnings(record=True) as built:
+        warnings.simplefilter("always")
+        prob = make_problem(cade, budget=1.0, groups=np.zeros(2, dtype=int), eps_dt=0.2)
+    assert [w.category for w in built] == [UserWarning]
+    assert "protected group is empty" in str(built[0].message)
+    assert built[0].filename == __file__  # blames the caller, not the package
+    assert prob.active_fairness() == ()
+    with warnings.catch_warnings(record=True) as solved:
+        warnings.simplefilter("always")
+        solve_exact(prob)
+        solve_exact_sweep(prob, [0.5, 1.0])
+        solve_bnb(prob)
+        value_curve(prob, [0.5, 1.0])
+    assert solved == []
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from doseuplift.datagen import (
     CONTINUOUS_COLS,
     CovariateError,
     CovariateTable,
+    Dataset,
     FeatureScaling,
     GenConfig,
     GenerationError,
@@ -23,11 +24,10 @@ from doseuplift.datagen import (
     load_dataset,
     save_dataset,
     synth_covariates,
-    true_cade_matrix_values,
-    true_cade_vector,
     true_cadr,
     true_cadr_grid,
 )
+from doseuplift.estimators import cade_matrix, oracle_estimator
 
 
 def _fixed_row(con=0.3, binary=1.0):
@@ -36,6 +36,14 @@ def _fixed_row(con=0.3, binary=1.0):
     for c in CONTINUOUS_COLS:
         x[c] = con
     return x
+
+
+def _oracle_effects(gt, features, delta):
+    """Ground-truth dose-effect matrix of covariate rows, via the oracle estimator."""
+    features = np.atleast_2d(features)
+    zeros = np.zeros(features.shape[0])
+    ds = Dataset(CovariateTable(features=features), doses=zeros, outcomes=zeros, protected=zeros)
+    return cade_matrix(oracle_estimator(gt), ds, delta).values
 
 
 def _frozen_gt(c1=0.5, c2=0.5, gamma=0.0, gamma_scale=0.1, y_min=-3.0, y_max=3.0):
@@ -308,7 +316,7 @@ def test_true_cadr_monte_carlo_consistency():
 
 def test_true_cade_vector_zero_at_dose_zero():
     gt = _frozen_gt()
-    v = true_cade_vector(gt, _fixed_row(), delta=10)
+    (v,) = _oracle_effects(gt, _fixed_row(), delta=10)
     assert v.shape == (11,)
     assert v[0] == 0.0
     assert np.all(np.abs(v) <= 1.0)
@@ -342,7 +350,7 @@ def test_gamma_widens_group_ate_gap():
     gaps = []
     for gamma in (0.0, 1.0, 5.0, 10.0):
         ds, gt = generate_dataset(cov, GenConfig(seed=99, gamma=gamma))
-        tau = true_cade_matrix_values(gt, cov.features, delta=10)
+        tau = _oracle_effects(gt, cov.features, delta=10)
         best = tau.max(axis=1)
         ates = [best[ds.protected == g].mean() for g in (0, 1)]
         gaps.append(abs(ates[1] - ates[0]))
@@ -351,8 +359,10 @@ def test_gamma_widens_group_ate_gap():
 
 
 def test_true_cade_matrix_matches_vectors():
+    # oracle matrix row i equals the one-row true_cadr_grid difference
     cov = synth_covariates(30, seed=12)
     _, gt = generate_dataset(cov, GenConfig(seed=12))
-    mat = true_cade_matrix_values(gt, cov.features, delta=6)
+    mat = _oracle_effects(gt, cov.features, delta=6)
     for i in (0, 7, 29):
-        assert np.allclose(mat[i], true_cade_vector(gt, cov.features[i], delta=6))
+        (mu,) = true_cadr_grid(gt, dose_grid(6), cov.features[i].reshape(1, -1))
+        assert np.allclose(mat[i], mu - mu[0])

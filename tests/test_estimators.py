@@ -7,11 +7,13 @@ from doseuplift.datagen import (
     CovariateTable,
     Dataset,
     GenConfig,
+    dose_grid,
     generate_dataset,
     synth_covariates,
-    true_cade_matrix_values,
+    true_cadr_grid,
 )
 from doseuplift.estimators import (
+    MISE_GRID_POINTS,
     CadeMatrix,
     Estimator,
     RfConfig,
@@ -149,7 +151,8 @@ def test_oracle_mise_zero(small_data):
 def test_oracle_cade_matrix_equals_ground_truth(small_data):
     ds, gt = small_data
     m = cade_matrix(oracle_estimator(gt), ds, delta=10)
-    expected = true_cade_matrix_values(gt, ds.covariates.features, delta=10)
+    mu = true_cadr_grid(gt, dose_grid(10), ds.covariates.features)
+    expected = mu - mu[:, [0]]
     assert m.provenance == "ground-truth"
     assert np.allclose(m.values, expected, atol=1e-12)
 
@@ -195,22 +198,20 @@ def test_cade_csv_roundtrip(tmp_path, small_data):
 def test_mise_constant_offset(small_data):
     ds, gt = small_data
     # mu + 0.1 has squared error 0.01 wherever the shifted curve stays in range
-    val = mise(_OffsetOracle(gt, 0.1), gt, ds, grid_points=201)
+    val = mise(_OffsetOracle(gt, 0.1), gt, ds)
     assert val == pytest.approx(0.01, abs=1e-12)
 
 
 def test_mise_quadrature_refinement(small_data):
+    # the fixed 101-point rule agrees with a 1001-point trapezoid reference
     ds, gt = small_data
     est = fit_rf_slearner(ds, RfConfig(n_trees=15, seed=1))
-    coarse = mise(est, gt, ds, grid_points=101)
-    fine = mise(est, gt, ds, grid_points=1001)
-    assert abs(coarse - fine) < 1e-3
-
-
-def test_mise_rejects_tiny_grid(small_data):
-    ds, gt = small_data
-    with pytest.raises(ValueError):
-        mise(oracle_estimator(gt), gt, ds, grid_points=1)
+    assert MISE_GRID_POINTS == 101
+    grid = np.linspace(0.0, 1.0, 1001)
+    x = ds.covariates.features
+    sq = (true_cadr_grid(gt, grid, x) - est.predict_mu(grid, x)) ** 2
+    fine = float(np.trapezoid(sq, grid, axis=1).mean())
+    assert abs(mise(est, gt, ds) - fine) < 1e-3
 
 
 # ---------------------------------------------------------------------------

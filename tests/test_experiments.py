@@ -1,6 +1,7 @@
 """Tests for experiment runners, config parsing, and the CLI."""
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from doseuplift.experiments import (
     dataset_from_config,
     oversample_covariates,
     parse_config,
+    rf_grid,
     run_delta_sweep,
     run_exp1,
     run_exp2,
@@ -96,6 +98,16 @@ def test_config_hash_changes_with_values():
 def test_rf_depth_grid_accepts_none():
     cfg = parse_config("rf_max_depth = 5,none\n")
     assert cfg.rf_max_depth == (5, None)
+
+
+def test_parse_config_feature_subsample_count():
+    cfg = parse_config("rf_feature_subsample = 5\n")
+    assert cfg.rf_feature_subsample == 5
+    assert rf_grid(cfg)[0].feature_subsample == 5
+    assert parse_config("rf_feature_subsample = all\n").rf_feature_subsample == "all"
+    for bad in ("0", "-3", "2.5", "half"):
+        with pytest.raises(ConfigError, match="line 2: bad value for 'rf_feature_subsample'"):
+            parse_config(f"seed = 1\nrf_feature_subsample = {bad}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +303,45 @@ def test_cli_generate_fit_allocate_roundtrip(tmp_path, capsys):
     policy_header, policy_rows = _read_csv(alloc_dir / "policy.csv")
     assert policy_header == ["entity", "dose"]
     assert len(policy_rows) == cade.n
+
+
+def test_cli_fit_feature_subsample_count(tmp_path):
+    gen_dir, fit_dir = tmp_path / "gen", tmp_path / "fit"
+    assert main(["generate", "--synthetic", "60", "--seed", "3", "--out", str(gen_dir)]) == 0
+    fit = ["fit", "--data", str(gen_dir / "dataset.csv"), "--estimator", "rf", "--trees", "4",
+           "--delta", "4", "--out", str(fit_dir), "--feature-subsample"]
+    assert main(fit + ["5"]) == 0
+    model = json.loads((fit_dir / "model.json").read_text())
+    assert model["config"]["feature_subsample"] == 5
+    with pytest.raises(SystemExit):  # argparse rejects the value before any work
+        main(fit + ["0"])
+
+
+_TOY_CONFIG = (
+    "data = synthetic:40\nseed = 3\ndelta = 3\nestimator = oracle\nbudgets = 2,4\n"
+    "gammas = 0,1\neps_dt_grid = 0.5,1\neps_do_grid = 1\nfactors = 1,2\n"
+    "sweep_deltas = 1,3\nsweep_budget = 3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("exp2", ["exp2_gamma_0.csv", "exp2_gamma_1.csv"]),
+        ("exp3", ["exp3_results.csv"]),
+        ("scalability", ["scalability_results.csv"]),
+        ("delta-sweep", ["delta_sweep_results.csv"]),
+    ],
+)
+def test_cli_experiment_commands(tmp_path, capsys, command, names):
+    config = tmp_path / "exp.cfg"
+    config.write_text(_TOY_CONFIG)
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out_dir / n}" for n in names]
+    for n in names:
+        assert (out_dir / n).exists()
+        assert (out_dir / f"{n}.meta").exists()
 
 
 def test_cli_exp1_with_config_file(tmp_path):
