@@ -509,15 +509,7 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
                 upper[sib] = 0.0
                 upper[var] = 1.0
                 lower[var] = 1.0
-        node_lp = LpProblem(
-            objective=base.objective,
-            a_matrix=base.a_matrix,
-            senses=base.senses,
-            rhs=base.rhs,
-            lower=lower,
-            upper=upper,
-        )
-        sol = solve_lp(node_lp)
+        sol = solve_lp(base.with_bounds(lower, upper))
         if sol.status == "infeasible":
             continue
         if sol.status != "optimal":

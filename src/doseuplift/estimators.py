@@ -65,12 +65,7 @@ class RfSLearner(Estimator):
     def predict_mu(self, doses, x_mat):
         doses = np.atleast_1d(np.asarray(doses, dtype=float))
         x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-        n, m = x_mat.shape[0], doses.shape[0]
-        batch = np.empty((n * m, x_mat.shape[1] + 1))
-        batch[:, :-1] = np.repeat(x_mat, m, axis=0)
-        batch[:, -1] = np.tile(doses, n)
-        preds = self.forest.predict(batch).reshape(n, m)
-        return np.clip(preds, 0.0, 1.0)
+        return np.clip(self.forest.predict_grid(x_mat, doses), 0.0, 1.0)
 
 
 class BinnedSLearner(Estimator):
@@ -112,17 +107,19 @@ class BinnedSLearner(Estimator):
         doses = np.atleast_1d(np.asarray(doses, dtype=float))
         x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
         out = np.empty((x_mat.shape[0], doses.shape[0]))
-        for j, s in enumerate(doses):
-            b = self._stratum_of(float(s))
+        strata = np.array([self._stratum_of(float(s)) for s in doses], dtype=int)
+        # one neighbor search per stratum serves every dose inside it
+        for b in np.unique(strata):
+            cols = strata == b
             xs, ys = self.strata_x[b], self.strata_y[b]
             if xs.shape[0] == 0:
-                out[:, j] = self.global_mean
-                self.diagnostics["fallback_queries"] += x_mat.shape[0]
+                out[:, cols] = self.global_mean
+                self.diagnostics["fallback_queries"] += x_mat.shape[0] * int(cols.sum())
                 continue
             k = min(self.k, xs.shape[0])
             d2 = ((x_mat[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
             nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            out[:, j] = ys[nearest].mean(axis=1)
+            out[:, cols] = ys[nearest].mean(axis=1)[:, None]
         return np.clip(out, 0.0, 1.0)
 
 

@@ -71,38 +71,74 @@ class _Tree:
                 go_left, self.left[nodes[rows]], self.right[nodes[rows]]
             )
 
+    def predict_grid(self, x_mat: np.ndarray, doses: np.ndarray) -> np.ndarray:
+        """Row-major flat predictions of every row at every dose of the sorted
+        grid. A state is (row, node, grid range [lo, hi)): a covariate split
+        moves it to one child, a dose split cuts its range at the threshold."""
+        n, dose_col = x_mat.shape
+        rows = np.arange(n)
+        nodes = np.zeros(n, dtype=np.int32)
+        lo, hi = np.zeros(n, dtype=np.intp), np.full(n, doses.size, dtype=np.intp)
+        done = []
+        while True:
+            feat = self.feature[nodes]
+            leaf = feat < 0
+            done.append((rows[leaf], lo[leaf], hi[leaf], self.value[nodes[leaf]]))
+            if leaf.all():
+                break
+            rows, nodes, lo, hi, feat = (a[~leaf] for a in (rows, nodes, lo, hi, feat))
+            thr = self.threshold[nodes]
+            cut = np.clip(np.searchsorted(doses, thr, "right"), lo, hi)
+            cov = feat != dose_col
+            go_left = x_mat[rows[cov], feat[cov]] <= thr[cov]
+            cut[cov] = np.where(go_left, hi[cov], lo[cov])
+            rows = np.concatenate([rows, rows])
+            nodes = np.concatenate([self.left[nodes], self.right[nodes]])
+            lo, hi = np.concatenate([lo, cut]), np.concatenate([cut, hi])
+            keep = lo < hi
+            rows, nodes, lo, hi = rows[keep], nodes[keep], lo[keep], hi[keep]
+        # the leaf ranges of each row tile [0, m): row-major order fills the grid
+        rows, lo, hi, value = (np.concatenate(a) for a in zip(*done))
+        order = np.argsort(rows * doses.size + lo)
+        return np.repeat(value[order], (hi - lo)[order])
+
 
 def _best_split(x_mat, y, idx, features, min_leaf):
-    """Best (feature, threshold, gain) over candidate features, or None."""
+    """Best (feature, threshold, gain) over candidate features, or None.
+
+    All candidates are searched in one pass over a (k, n) array. A stable
+    row-wise sort and a sequential row-wise cumsum give each row the same
+    bits as a search of that feature alone, so ties resolve as they would
+    feature by feature: first maximal position per row, then the first
+    feature whose gain is strictly larger.
+    """
     n = idx.size
     y_node = y[idx]
     total = y_node.sum()
     total_sq = (y_node * y_node).sum()
     sse_parent = total_sq - total * total / n
 
+    vals = x_mat[idx[None, :], features[:, None]]
+    order = vals.argsort(axis=1, kind="stable")
+    vs = vals[np.arange(features.size)[:, None], order]
+    ys = y_node[order]
+    cy = ys.cumsum(axis=1)[:, :-1]
+    cy2 = (ys * ys).cumsum(axis=1)[:, :-1]
+    # split after position p keeps [0..p] left and [p+1..] right
+    left_n = np.arange(1.0, n)
+    right_n = n - left_n
+    sse_l = cy2 - cy * cy / left_n
+    sse_r = (total_sq - cy2) - (total - cy) ** 2 / right_n
+    gains = sse_parent - sse_l - sse_r
+    valid = (vs[:, :-1] < vs[:, 1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    gains[~valid] = -np.inf
+    pos = gains.argmax(axis=1)
+
     best = None
-    for f in features:
-        v = x_mat[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = y_node[order]
-        cy = np.cumsum(ys)
-        cy2 = np.cumsum(ys * ys)
-        # split after position p keeps [0..p] left and [p+1..] right
-        p = np.arange(n - 1)
-        valid = (vs[:-1] < vs[1:]) & (p + 1 >= min_leaf) & (n - p - 1 >= min_leaf)
-        if not np.any(valid):
-            continue
-        p = p[valid]
-        left_n = p + 1.0
-        right_n = n - left_n
-        sse_l = cy2[p] - cy[p] * cy[p] / left_n
-        sse_r = (total_sq - cy2[p]) - (total - cy[p]) ** 2 / right_n
-        gains = sse_parent - sse_l - sse_r
-        k = int(np.argmax(gains))
-        if gains[k] > 1e-12 and (best is None or gains[k] > best[2]):
-            thr = 0.5 * (vs[p[k]] + vs[p[k] + 1])
-            best = (f, thr, float(gains[k]))
+    for i, p in enumerate(pos.tolist()):
+        g = float(gains[i, p])
+        if g > 1e-12 and (best is None or g > best[2]):
+            best = (int(features[i]), 0.5 * (vs[i, p] + vs[i, p + 1]), g)
     return best
 
 
@@ -128,8 +164,7 @@ def _build_tree(x_mat, y, cfg: RfConfig, rng: np.random.Generator) -> _Tree:
     stack = [(root, sample, 0)]
     while stack:
         node, idx, depth = stack.pop()
-        y_node = y[idx]
-        value[node] = float(y_node.mean())
+        value[node] = float(y[idx].sum() / idx.size)  # bitwise y[idx].mean()
         if (
             (cfg.max_depth is not None and depth >= cfg.max_depth)
             or idx.size < 2 * cfg.min_samples_leaf
@@ -180,14 +215,34 @@ class RandomForestRegressor:
         ]
         return self
 
-    def predict(self, x_mat: np.ndarray) -> np.ndarray:
+    def _checked_rows(self, x_mat, n_columns: int) -> np.ndarray:
         if not self.trees:
             raise ValueError("forest is not fitted")
         x_mat = np.asarray(x_mat, dtype=float)
+        if x_mat.ndim != 2 or x_mat.shape[1] != n_columns:
+            raise ValueError(f"expected rows of {n_columns} columns, got shape {x_mat.shape}")
+        return x_mat
+
+    def predict(self, x_mat: np.ndarray) -> np.ndarray:
+        x_mat = self._checked_rows(x_mat, self.n_features)
         out = np.zeros(x_mat.shape[0])
         for tree in self.trees:
             out += tree.predict(x_mat)
         return out / len(self.trees)
+
+    def predict_grid(self, x_mat: np.ndarray, doses: np.ndarray) -> np.ndarray:
+        """(n, m) predictions of every covariate row at every dose; the dose
+        is the last fitted feature. Equal to ``predict`` on the n*m batch."""
+        x_mat = self._checked_rows(x_mat, self.n_features - 1)
+        doses = np.asarray(doses, dtype=float)
+        order = np.argsort(doses, kind="stable")
+        sorted_doses = doses[order]
+        out = np.zeros((x_mat.shape[0], doses.size))
+        for tree in self.trees:
+            out += tree.predict_grid(x_mat, sorted_doses).reshape(out.shape)
+        grid = np.empty_like(out)
+        grid[:, order] = out / len(self.trees)
+        return grid
 
     def to_json(self) -> str:
         cfg = self.config

@@ -7,6 +7,7 @@ thousand rows, and rank-1 tableau updates vectorize well at that size.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,32 +42,45 @@ class LpProblem:
         c = np.asarray(self.objective, dtype=float)
         a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
         b = np.asarray(self.rhs, dtype=float)
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
         if a.size == 0:
             a = a.reshape(0, c.shape[0])
         m, n = a.shape
-        if c.shape != (n,) or b.shape != (m,) or lo.shape != (n,) or hi.shape != (n,):
-            raise LpError(
-                f"dimension mismatch: A is {m}x{n}, c {c.shape}, b {b.shape}, "
-                f"bounds {lo.shape}/{hi.shape}"
-            )
+        if c.shape != (n,) or b.shape != (m,):
+            raise LpError(f"dimension mismatch: A is {m}x{n}, c {c.shape}, b {b.shape}")
         if len(self.senses) != m:
             raise LpError(f"expected {m} senses, got {len(self.senses)}")
         for s in self.senses:
             if s not in _SENSES:
                 raise LpError(f"unknown row sense {s!r}")
-        for arr, name in ((c, "objective"), (a, "matrix"), (b, "rhs"), (lo, "lower"), (hi, "upper")):
+        for arr, name in ((c, "objective"), (a, "matrix"), (b, "rhs")):
+            if not np.all(np.isfinite(arr)):
+                raise LpError(f"{name} contains non-finite values")
+        object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "a_matrix", a)
+        object.__setattr__(self, "rhs", b)
+        object.__setattr__(self, "senses", tuple(self.senses))
+        self._set_bounds(self.lower, self.upper)
+
+    def _set_bounds(self, lower, upper) -> None:
+        lo = np.asarray(lower, dtype=float)
+        hi = np.asarray(upper, dtype=float)
+        n = self.a_matrix.shape[1]
+        if lo.shape != (n,) or hi.shape != (n,):
+            raise LpError(f"dimension mismatch: {n} columns, bounds {lo.shape}/{hi.shape}")
+        for arr, name in ((lo, "lower"), (hi, "upper")):
             if not np.all(np.isfinite(arr)):
                 raise LpError(f"{name} contains non-finite values")
         if np.any(lo > hi):
             raise LpError("lower bound exceeds upper bound")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "senses", tuple(self.senses))
+
+    def with_bounds(self, lower, upper) -> "LpProblem":
+        """The same problem under other variable bounds. Only the new bounds
+        are checked; the validated objective, matrix and rhs are shared."""
+        problem = copy.copy(self)
+        problem._set_bounds(lower, upper)
+        return problem
 
     @property
     def n_rows(self) -> int:

@@ -3,6 +3,10 @@
 The simplex oracle is a plain textbook full-tableau method for
 max c.x s.t. Ax <= b, x >= 0 with b >= 0, using Bland's rule throughout.
 It shares no code with the production solver.
+
+The split oracle is the forest's CART split search written one feature at
+a time, and the binned oracle queries the dose-binned kNN model one dose at
+a time: the references the vectorized paths must match bit for bit.
 """
 
 import numpy as np
@@ -47,3 +51,59 @@ def simplex_oracle(c, a, b, max_iter=50000):
         z -= z[entering] * t[leave]
         basis[leave] = entering
     raise RuntimeError("oracle iteration cap reached")
+
+
+def best_split_oracle(x_mat, y, idx, features, min_leaf):
+    """Best (feature, threshold, gain) over candidate features, or None.
+
+    Each feature is sorted and scanned on its own; the first feature whose
+    best gain is strictly larger than every earlier one wins.
+    """
+    n = idx.size
+    y_node = y[idx]
+    total = y_node.sum()
+    total_sq = (y_node * y_node).sum()
+    sse_parent = total_sq - total * total / n
+
+    best = None
+    for f in features:
+        v = x_mat[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ys = y_node[order]
+        cy = np.cumsum(ys)
+        cy2 = np.cumsum(ys * ys)
+        # split after position p keeps [0..p] left and [p+1..] right
+        p = np.arange(n - 1)
+        valid = (vs[:-1] < vs[1:]) & (p + 1 >= min_leaf) & (n - p - 1 >= min_leaf)
+        if not np.any(valid):
+            continue
+        p = p[valid]
+        left_n = p + 1.0
+        right_n = n - left_n
+        sse_l = cy2[p] - cy[p] * cy[p] / left_n
+        sse_r = (total_sq - cy2[p]) - (total - cy[p]) ** 2 / right_n
+        gains = sse_parent - sse_l - sse_r
+        k = int(np.argmax(gains))
+        if gains[k] > 1e-12 and (best is None or gains[k] > best[2]):
+            thr = 0.5 * (vs[p[k]] + vs[p[k] + 1])
+            best = (f, thr, float(gains[k]))
+    return best
+
+
+def binned_predict_oracle(est, doses, x_mat):
+    """(predictions, fallback queries) of a BinnedSLearner, one kNN per dose."""
+    out = np.empty((x_mat.shape[0], len(doses)))
+    fallback = 0
+    for j, s in enumerate(doses):
+        b = min(int(s * est.dose_bins), est.dose_bins - 1)
+        xs, ys = est.strata_x[b], est.strata_y[b]
+        if xs.shape[0] == 0:
+            out[:, j] = est.global_mean
+            fallback += x_mat.shape[0]
+            continue
+        k = min(est.k, xs.shape[0])
+        d2 = ((x_mat[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[:, j] = ys[nearest].mean(axis=1)
+    return np.clip(out, 0.0, 1.0), fallback

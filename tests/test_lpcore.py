@@ -102,6 +102,25 @@ def test_nonfinite_bound_rejected():
         _problem([1.0], [[1.0]], ["<="], [1.0], [0.0], [np.inf])
 
 
+def test_with_bounds_checks_only_bounds_and_shares_the_rest():
+    p = _problem([1.0, 2.0], [[1.0, 1.0]], ["<="], [3.0], [0.0, 0.0], [2.0, 2.0])
+    q = p.with_bounds(np.asarray([0.0, 0.0]), [2.0, 0.5])
+    assert q.a_matrix is p.a_matrix and q.objective is p.objective and q.rhs is p.rhs
+    assert q.senses == p.senses
+    assert np.array_equal(p.upper, [2.0, 2.0])  # the original keeps its bounds
+    fresh = _problem([1.0, 2.0], [[1.0, 1.0]], ["<="], [3.0], [0.0, 0.0], [2.0, 0.5])
+    got, want = solve_lp(q), solve_lp(fresh)
+    assert got.objective == want.objective and np.array_equal(got.x, want.x)
+    for lo, hi in (
+        ([0.0], [1.0]),  # wrong shape
+        ([0.0, 0.0], [1.0, np.inf]),
+        ([0.0, np.nan], [1.0, 1.0]),
+        ([0.0, 2.0], [1.0, 1.0]),  # lower above upper
+    ):
+        with pytest.raises(LpError):
+            p.with_bounds(lo, hi)
+
+
 def test_iteration_limit_is_reported():
     rng = np.random.default_rng(3)
     a = rng.uniform(-1, 1, size=(10, 15))
