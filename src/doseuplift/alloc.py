@@ -407,9 +407,11 @@ def _build_lp(prob: AllocationProblem) -> LpProblem:
     """LP relaxation over the dose>=1 variables; dose 0 is the implicit slack.
 
     Dose 0 contributes nothing to the objective, the budget, or either
-    fairness sum, so eliminating its column turns the one-dose-per-entity
-    equalities into <= rows and makes the all-zeros origin feasible, which
-    lets the simplex skip its artificial phase entirely.
+    fairness sum, so eliminating its column turns each entity's
+    one-dose equality into a one-of set (its doses sum to at most 1), which
+    the simplex keeps implicit. The rows are the budget and two per active
+    fairness pair, and the all-zeros origin is feasible, which lets the
+    simplex skip its artificial phase entirely.
     """
     n, delta = prob.n, prob.delta
     nv = n * delta
@@ -417,17 +419,13 @@ def _build_lp(prob: AllocationProblem) -> LpProblem:
     obj = values[:, 1:].ravel()
 
     fair = prob.active_fairness()
-    m = n + 1 + 2 * len(fair)
+    m = 1 + 2 * len(fair)
     a = np.zeros((m, nv))
-    senses = ["<="] * m
     rhs = np.zeros(m)
-    for i in range(n):
-        a[i, i * delta:(i + 1) * delta] = 1.0
-        rhs[i] = 1.0
-    a[n] = prob.costs[:, 1:].ravel()
-    rhs[n] = prob.budget
+    a[0] = prob.costs[:, 1:].ravel()
+    rhs[0] = prob.budget
 
-    row = n + 1
+    row = 1
     g0 = prob.groups == 0
     g1 = prob.groups == 1
     n0, n1 = int(g0.sum()), int(g1.sum())
@@ -444,10 +442,11 @@ def _build_lp(prob: AllocationProblem) -> LpProblem:
     return LpProblem(
         objective=obj,
         a_matrix=a,
-        senses=senses,
+        senses=["<="] * m,
         rhs=rhs,
         lower=np.zeros(nv),
         upper=np.ones(nv),
+        sets=np.repeat(np.arange(n), delta),
     )
 
 

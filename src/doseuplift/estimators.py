@@ -32,6 +32,15 @@ __all__ = [
 ]
 
 
+def _check_doses(doses) -> np.ndarray:
+    """The query doses as a 1-d float array; each must be finite and in [0, 1]."""
+    doses = np.atleast_1d(np.asarray(doses, dtype=float))
+    bad = ~((doses >= 0.0) & (doses <= 1.0))  # NaN fails both comparisons
+    if np.any(bad):
+        raise ValueError(f"dose {float(doses[bad][0])!r} is not a finite value in [0, 1]")
+    return doses
+
+
 class Estimator:
     """Common surface: mean-outcome predictions on a dose grid, clamped to [0, 1]."""
 
@@ -51,7 +60,7 @@ class OracleEstimator(Estimator):
         self.gt = gt
 
     def predict_mu(self, doses, x_mat):
-        return true_cadr_grid(self.gt, doses, x_mat)
+        return true_cadr_grid(self.gt, _check_doses(doses), x_mat)
 
 
 class RfSLearner(Estimator):
@@ -63,7 +72,7 @@ class RfSLearner(Estimator):
         self.forest = forest
 
     def predict_mu(self, doses, x_mat):
-        doses = np.atleast_1d(np.asarray(doses, dtype=float))
+        doses = _check_doses(doses)
         x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
         return np.clip(self.forest.predict_grid(x_mat, doses), 0.0, 1.0)
 
@@ -88,8 +97,7 @@ class BinnedSLearner(Estimator):
         self._partition(x_train, y_train)
 
     def _partition(self, x_train, y_train):
-        s = x_train[:, -1]
-        assign = np.minimum((s * self.dose_bins).astype(int), self.dose_bins - 1)
+        assign = self._strata(x_train[:, -1])
         for b in range(self.dose_bins):
             mask = assign == b
             self.strata_x.append(np.ascontiguousarray(x_train[mask, :-1]))
@@ -100,14 +108,15 @@ class BinnedSLearner(Estimator):
                 self.stratum_means[b] = self.global_mean
                 self.diagnostics["empty_strata"].append(b)
 
-    def _stratum_of(self, s: float) -> int:
-        return min(int(s * self.dose_bins), self.dose_bins - 1)
+    def _strata(self, doses: np.ndarray) -> np.ndarray:
+        """Stratum of each dose in [0, 1]; dose 1 joins the top stratum."""
+        return np.minimum((doses * self.dose_bins).astype(int), self.dose_bins - 1)
 
     def predict_mu(self, doses, x_mat):
-        doses = np.atleast_1d(np.asarray(doses, dtype=float))
+        doses = _check_doses(doses)
         x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
         out = np.empty((x_mat.shape[0], doses.shape[0]))
-        strata = np.array([self._stratum_of(float(s)) for s in doses], dtype=int)
+        strata = self._strata(doses)
         # one neighbor search per stratum serves every dose inside it
         for b in np.unique(strata):
             cols = strata == b

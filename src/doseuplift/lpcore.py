@@ -1,8 +1,14 @@
-"""Dense bounded-variable primal simplex for the allocation LP relaxations.
+"""Bounded primal revised simplex for the allocation LP relaxations.
 
-Maximization with row senses <=, >=, =, and finite variable bounds. Dense
-tableau arithmetic is deliberate: relaxations here have at most a few
-thousand rows, and rank-1 tableau updates vectorize well at that size.
+Maximization with row senses <=, >=, =, finite variable bounds, and
+optional one-of sets: disjoint groups of columns whose values sum to at
+most 1, such as the one-dose-per-entity rows of the allocation LP. A set is
+never written as a row. It keeps one basic "key" variable that absorbs the
+set's equation (generalized upper bounds, Dantzig & Van Slyke 1967), so the
+working basis spans only the coupling rows. The allocation LP has at most
+five of those however many entities it has, so the basis is rebuilt and
+inverted densely at every iteration, and pricing is one vectorized pass
+over all columns.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -21,6 +26,8 @@ STALL_LIMIT = 500
 
 LE, GE, EQ = "<=", ">=", "="
 _SENSES = (LE, GE, EQ)
+# slack bounds per row sense: a.x + slack = b
+_SLACK_BOUNDS = {LE: (0.0, np.inf), GE: (-np.inf, 0.0), EQ: (0.0, 0.0)}
 
 
 class LpError(ValueError):
@@ -29,7 +36,12 @@ class LpError(ValueError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max objective . x  subject to row constraints and variable bounds."""
+    """max objective . x  subject to row constraints, variable bounds and sets.
+
+    ``sets[j]`` is the one-of set of column j, or -1 for none; the columns
+    of a set sum to at most 1. Set ids lie in -1..n_cols-1. ``None`` means
+    no sets.
+    """
 
     objective: np.ndarray
     a_matrix: np.ndarray
@@ -37,6 +49,7 @@ class LpProblem:
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    sets: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -55,10 +68,16 @@ class LpProblem:
         for arr, name in ((c, "objective"), (a, "matrix"), (b, "rhs")):
             if not np.all(np.isfinite(arr)):
                 raise LpError(f"{name} contains non-finite values")
+        sets = np.full(n, -1, dtype=np.intp) if self.sets is None else np.asarray(self.sets)
+        if sets.shape != (n,) or not np.issubdtype(sets.dtype, np.integer):
+            raise LpError(f"sets must be {n} integer set ids, got {sets.dtype} {sets.shape}")
+        if n and (sets.min() < -1 or sets.max() >= n):
+            raise LpError(f"set ids must lie in -1..{n - 1}")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "senses", tuple(self.senses))
+        object.__setattr__(self, "sets", sets.astype(np.intp, copy=False))
         self._set_bounds(self.lower, self.upper)
 
     def _set_bounds(self, lower, upper) -> None:
@@ -77,7 +96,7 @@ class LpProblem:
 
     def with_bounds(self, lower, upper) -> "LpProblem":
         """The same problem under other variable bounds. Only the new bounds
-        are checked; the validated objective, matrix and rhs are shared."""
+        are checked; the validated objective, matrix, rhs and sets are shared."""
         problem = copy.copy(self)
         problem._set_bounds(lower, upper)
         return problem
@@ -99,120 +118,150 @@ class LpSolution:
     iterations: int
 
 
-class _Tableau:
-    """Mutable simplex state over the slack-extended equality system."""
+class _Simplex:
+    """Simplex state over the columns [structurals | row slacks | set slacks |
+    artificials | null].
 
-    def __init__(self, a_ext, lo, hi, x, at_upper, basis):
-        # Fortran order: ratio tests read columns, and the BLAS rank-1
-        # update in _pivot requires it
-        self.tab = np.asfortranarray(a_ext)
+    ``a`` holds the coupling rows only. Every set has one key variable
+    (``key``) among its basic members; the other basic variables fill one
+    slot per coupling row (``basis``). The null column is all zeros and the
+    key of set -1, so "column minus its set's key column" needs no branch.
+    """
+
+    def __init__(self, a, sets, lo, hi, x, at_upper, basis, key):
+        self.a = a
+        self.sets = sets
         self.lo = lo
         self.hi = hi
         self.x = x
         self.at_upper = at_upper
         self.basis = basis
-        self.in_basis = np.zeros(a_ext.shape[1], dtype=bool)
+        self.key = np.append(key, a.shape[1] - 1)
+        self.in_basis = np.zeros(a.shape[1], dtype=bool)
         self.in_basis[basis] = True
-        self.obj_row = None
-        self.obj_val = 0.0
+        self.in_basis[key] = True
         self.iterations = 0
 
-    def set_objective(self, c_ext: np.ndarray) -> None:
-        self.c_ext = c_ext
-        if len(self.basis):
-            self.obj_row = c_ext - self.c_ext[self.basis] @ self.tab
-        else:
-            self.obj_row = c_ext.copy()
-        self.obj_row[self.in_basis] = 0.0
-        self.obj_val = float(self.c_ext @ self.x)
+    def set_phase(self, c: np.ndarray) -> None:
+        self.c = c
+        self.obj_val = float(c @ self.x)
+        # columns that can never enter: fixed bounds or the null column
+        self.fixed = self.lo >= self.hi
 
-    def _entering(self, bland: bool, allowed: np.ndarray) -> int:
-        r = self.obj_row
-        eligible = allowed & ~self.in_basis & (self.lo < self.hi)
-        improving = eligible & (
-            (~self.at_upper & (r > PIVOT_TOL)) | (self.at_upper & (r < -PIVOT_TOL))
-        )
-        idx = np.nonzero(improving)[0]
-        if idx.size == 0:
-            return -1
+    def _working_basis(self):
+        """Inverse of the reduced basis and the reduced costs of every column."""
+        keys = self.key[self.sets[self.basis]]
+        b_mat = self.a[:, self.basis] - self.a[:, keys]
+        try:
+            b_inv = np.linalg.inv(b_mat)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("singular working basis; numerical failure") from exc
+        pi = (self.c[self.basis] - self.c[keys]) @ b_inv
+        d = self.c - pi @ self.a
+        d -= d[self.key][self.sets]
+        return b_inv, d
+
+    def _entering(self, d: np.ndarray, bland: bool) -> int:
+        score = np.where(self.at_upper, -d, d)
+        score[self.in_basis | self.fixed] = 0.0
         if bland:
-            return int(idx[0])
-        return int(idx[np.argmax(np.abs(r[idx]))])
+            idx = np.flatnonzero(score > PIVOT_TOL)
+            return int(idx[0]) if idx.size else -1
+        q = int(np.argmax(score))
+        return q if score[q] > PIVOT_TOL else -1
 
-    def _ratio_test(self, q: int, direction: float, bland: bool):
-        """Max step for the entering variable; returns (t, blocking_row)."""
-        col = self.tab[:, q]
-        coef = -col * direction  # per-unit change of each basic variable
-        xb = self.x[self.basis]
-        limits = np.full(len(self.basis), np.inf)
-        up = coef > PIVOT_TOL
-        dn = coef < -PIVOT_TOL
-        if np.any(up):
-            room = self.hi[self.basis[up]] - xb[up]
-            limits[up] = np.maximum(room, 0.0) / coef[up]
-        if np.any(dn):
-            room = xb[dn] - self.lo[self.basis[dn]]
-            limits[dn] = np.maximum(room, 0.0) / (-coef[dn])
-        t_own = self.hi[q] - self.lo[q]
-        t_rows = limits.min() if limits.size else np.inf
+    def _ratio_test(self, q: int, direction: float, b_inv: np.ndarray, bland: bool):
+        """Max step of q; returns (t, moved variables, their rates, blocking
+        position or -1 when q reaches its own other bound first).
+
+        Only the slot variables and the keys of the sets they or q belong to
+        move, at most 2 * rows + 1 variables, so plain lists beat arrays here.
+        """
+        s_q = int(self.sets[q])
+        alpha = b_inv @ (self.a[:, q] - self.a[:, self.key[s_q]])
+        moved = self.basis.tolist()
+        rate = (alpha * -direction).tolist()
+        # a set's key absorbs what its other members gain
+        key_rate = {} if s_q < 0 else {s_q: -direction}
+        for s, r in zip(self.sets[self.basis].tolist(), rate):
+            if s >= 0:
+                key_rate[s] = key_rate.get(s, 0.0) - r
+        moved += self.key[list(key_rate)].tolist()
+        rate += key_rate.values()
+
+        limits = []
+        for r, x, lo, hi in zip(
+            rate, self.x[moved].tolist(), self.lo[moved].tolist(), self.hi[moved].tolist()
+        ):
+            if r > PIVOT_TOL:
+                limits.append(max(hi - x, 0.0) / r)
+            elif r < -PIVOT_TOL:
+                limits.append(max(x - lo, 0.0) / -r)
+            else:
+                limits.append(np.inf)
+        t_own = float(self.hi[q] - self.lo[q])
+        t_rows = min(limits, default=np.inf)
         if t_own <= t_rows:
-            return t_own, -1
-        if not np.isfinite(t_rows):
-            return np.inf, -1
-        near = np.nonzero(limits <= t_rows + 1e-12)[0]
+            return t_own, moved, rate, -1
+        if t_rows == np.inf:
+            return np.inf, moved, rate, -1
+        near = [i for i, lim in enumerate(limits) if lim <= t_rows + 1e-12]
         if bland:
-            row = int(near[np.argmin(self.basis[near])])
+            pos = min(near, key=moved.__getitem__)
         else:
-            row = int(near[np.argmax(np.abs(col[near]))])
-        return max(t_rows, 0.0), row
+            pos = max(near, key=lambda i: abs(rate[i]))
+        return max(t_rows, 0.0), moved, rate, pos
 
-    def _pivot(self, row: int, q: int) -> None:
-        piv = self.tab[row, q]
-        self.tab[row, :] /= piv
-        col = self.tab[:, q].copy()
-        col[row] = 0.0
-        pivot_row = np.ascontiguousarray(self.tab[row, :])
-        self.tab = dger(-1.0, col, pivot_row, a=self.tab, overwrite_a=1)
-        self.obj_row -= self.obj_row[q] * pivot_row
-        # force the entering column to an exact unit vector
-        self.tab[:, q] = 0.0
-        self.tab[row, q] = 1.0
-        self.obj_row[q] = 0.0
+    def _exchange(self, q: int, leaving: int, pos: int) -> None:
+        """Basis change: q enters, the basic variable ``leaving`` exits."""
+        self.in_basis[leaving] = False
+        self.in_basis[q] = True
+        if pos < len(self.basis):
+            self.basis[pos] = q
+            return
+        s = self.sets[leaving]
+        # a key leaves: a slot member of its set takes over, else q does
+        same = np.flatnonzero(self.sets[self.basis] == s)
+        if same.size:
+            slot = int(same[0])
+            self.key[s] = self.basis[slot]
+            self.basis[slot] = q
+        elif self.sets[q] == s:
+            self.key[s] = q
+        else:
+            raise RuntimeError("leaving key has no successor; numerical failure")
 
-    def run(self, max_iterations: int, allowed: np.ndarray) -> str:
+    def run(self, max_iterations: int) -> str:
         """Iterate to optimality; returns optimal | unbounded | iteration_limit."""
         bland = False
         stall = 0
         last_obj = self.obj_val
         while True:
-            q = self._entering(bland, allowed)
+            b_inv, d = self._working_basis()
+            q = self._entering(d, bland)
             if q < 0:
                 return "optimal"
             if self.iterations >= max_iterations:
                 return "iteration_limit"
             self.iterations += 1
             direction = -1.0 if self.at_upper[q] else 1.0
-            t, row = self._ratio_test(q, direction, bland)
-            if not np.isfinite(t):
+            t, moved, rate, pos = self._ratio_test(q, direction, b_inv, bland)
+            if t == np.inf:
                 return "unbounded"
-            delta = direction * t
             if t > 0.0:
-                self.x[self.basis] -= self.tab[:, q] * delta
-                self.x[q] += delta
-                self.obj_val += float(self.obj_row[q] * delta)
-            if row < 0:
+                self.x[moved] += np.multiply(rate, t)
+                self.x[q] += direction * t
+                self.obj_val += float(d[q] * direction * t)
+            if pos < 0:
                 # entering variable moved across to its other bound
                 self.x[q] = self.lo[q] if self.at_upper[q] else self.hi[q]
                 self.at_upper[q] = not self.at_upper[q]
             else:
-                leaving = self.basis[row]
-                hit_upper = (-self.tab[row, q] * direction) > 0
+                leaving = moved[pos]
+                hit_upper = rate[pos] > 0
                 self.x[leaving] = self.hi[leaving] if hit_upper else self.lo[leaving]
                 self.at_upper[leaving] = bool(hit_upper)
-                self.in_basis[leaving] = False
-                self.in_basis[q] = True
-                self.basis[row] = q
-                self._pivot(row, q)
+                self._exchange(q, leaving, pos)
             if self.obj_val > last_obj + 1e-12:
                 last_obj = self.obj_val
                 stall = 0
@@ -226,166 +275,92 @@ class _Tableau:
 def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve the LP; never returns a silently wrong answer.
 
-    Phase I introduces artificial variables only for rows whose slack cannot
-    absorb the initial residual, so formulations with an all-slack feasible
-    origin skip straight to Phase II.
+    The start puts every column at its lower bound, each set's slack in its
+    key and each row's slack in its slot. Phase I adds artificial variables
+    only for rows whose slack cannot absorb the residual, so formulations
+    with an all-slack feasible origin skip straight to Phase II. An
+    ``optimal`` point is re-checked against every row, set and bound, and a
+    failed check raises ``RuntimeError``.
     """
     m, n = problem.n_rows, problem.n_cols
     if max_iterations is None:
         max_iterations = 100 * (m + n)
+    lower, upper = problem.lower, problem.upper
+    member = np.flatnonzero(problem.sets >= 0)
+    n_sets = int(problem.sets.max(initial=-1)) + 1
+    set_lower = np.bincount(problem.sets[member], lower[member], minlength=n_sets)
+    if np.any(set_lower > 1.0 + FEAS_TOL):
+        return LpSolution("infeasible", float("nan"), None, 0)
 
-    lo_s = problem.lower.copy()
-    hi_s = problem.upper.copy()
-    free = lo_s < hi_s
-    fixed_idx = np.nonzero(~free)[0]
-    free_idx = np.nonzero(free)[0]
-    x_fixed = lo_s[fixed_idx]
-    obj_const = float(problem.objective[fixed_idx] @ x_fixed) if fixed_idx.size else 0.0
-    b_eff = problem.rhs - problem.a_matrix[:, fixed_idx] @ x_fixed if fixed_idx.size else problem.rhs.copy()
+    resid = problem.rhs - problem.a_matrix @ lower
+    slack_lo = np.array([_SLACK_BOUNDS[s][0] for s in problem.senses])
+    slack_hi = np.array([_SLACK_BOUNDS[s][1] for s in problem.senses])
+    art_rows = np.flatnonzero((resid < slack_lo - 1e-12) | (resid > slack_hi + 1e-12))
+    n_art = art_rows.size
 
-    a_f = problem.a_matrix[:, free_idx]
-    c_f = problem.objective[free_idx]
-    lo_f = lo_s[free_idx]
-    hi_f = hi_s[free_idx]
-    nf = free_idx.size
+    # columns: structurals | row slacks | set slacks | artificials | null
+    first_slack, first_set, first_art = n, n + m, n + m + n_sets
+    n_ext = first_art + n_art + 1
+    a = np.zeros((m, n_ext))
+    a[:, :n] = problem.a_matrix
+    a[np.arange(m), first_slack + np.arange(m)] = 1.0
+    a[art_rows, first_art + np.arange(n_art)] = np.sign(resid[art_rows])
+    sets = np.concatenate([
+        problem.sets, np.full(m, -1), np.arange(n_sets), np.full(n_art + 1, -1)
+    ]).astype(np.intp)
+    lo = np.concatenate([lower, slack_lo, np.zeros(n_sets), np.zeros(n_art), [0.0]])
+    hi = np.concatenate([upper, slack_hi, np.full(n_sets, np.inf), np.full(n_art, np.inf), [0.0]])
 
-    if nf == 0:
-        # everything fixed: feasibility check only
-        viol = constraint_violation(problem, lo_s)
-        if viol > FEAS_TOL:
-            return LpSolution("infeasible", float("nan"), None, 0)
-        return LpSolution("optimal", obj_const, lo_s.copy(), 0)
-
-    # slack-extended equality system
-    n_slack = sum(1 for s in problem.senses if s != EQ)
-    slack_of_row = np.full(m, -1, dtype=int)
-    slo = np.empty(n_slack)
-    shi = np.empty(n_slack)
-    k = 0
-    for i, s in enumerate(problem.senses):
-        if s == EQ:
-            continue
-        slack_of_row[i] = nf + k
-        slo[k], shi[k] = (0.0, np.inf) if s == LE else (-np.inf, 0.0)
-        k += 1
-
-    n_t = nf + n_slack
-    a_ext = np.zeros((m, n_t))
-    a_ext[:, :nf] = a_f
-    for i in range(m):
-        if slack_of_row[i] >= 0:
-            a_ext[i, slack_of_row[i]] = 1.0
-    lo = np.concatenate([lo_f, slo])
-    hi = np.concatenate([hi_f, shi])
-
-    # initial point: structurals at their lower bound, slacks absorbing what they can
-    x = np.zeros(n_t)
-    x[:nf] = lo_f
-    at_upper = np.zeros(n_t, dtype=bool)
-    resid = b_eff - a_ext[:, :nf] @ lo_f
-
-    basis = np.empty(m, dtype=int)
-    art_rows = []
-    for i in range(m):
-        j = slack_of_row[i]
-        if j >= 0 and lo[j] - 1e-12 <= resid[i] <= hi[j] + 1e-12:
-            val = min(max(resid[i], lo[j]), hi[j])
-            x[j] = val
-            basis[i] = j
-        else:
-            if j >= 0:
-                x[j] = 0.0 if lo[j] == 0.0 else hi[j]
-                at_upper[j] = lo[j] != 0.0
-            art_rows.append(i)
-            basis[i] = -1
-
-    n_art = len(art_rows)
-    if n_art:
-        cols = np.zeros((m, n_art))
-        art_lo = np.zeros(n_art)
-        art_hi = np.full(n_art, np.inf)
-        for k2, i in enumerate(art_rows):
-            # slacks of artificial rows sit at zero, so the residual is intact
-            if resid[i] < 0:
-                a_ext[i] *= -1.0
-                b_eff[i] *= -1.0
-            cols[i, k2] = 1.0
-            basis[i] = n_t + k2
-        a_ext = np.hstack([a_ext, cols])
-        lo = np.concatenate([lo, art_lo])
-        hi = np.concatenate([hi, art_hi])
-        x = np.concatenate([x, np.zeros(n_art)])
-        at_upper = np.concatenate([at_upper, np.zeros(n_art, dtype=bool)])
-        # recompute artificial values from the (possibly sign-flipped) rows
-        x[n_t:] = b_eff[art_rows] - a_ext[art_rows, :n_t] @ x[:n_t]
-
-    state = _Tableau(a_ext, lo, hi, x, at_upper, basis)
-    total_cols = a_ext.shape[1]
+    x = np.zeros(n_ext)
+    x[:n] = lower
+    x[first_slack:first_set] = np.clip(resid, slack_lo, slack_hi)
+    x[first_slack + art_rows] = 0.0
+    x[first_set:first_art] = np.maximum(1.0 - set_lower, 0.0)
+    x[first_art:-1] = np.abs(resid[art_rows])
+    at_upper = np.zeros(n_ext, dtype=bool)
+    at_upper[first_slack + art_rows] = slack_lo[art_rows] < 0.0  # >= slacks rest at 0
+    basis = first_slack + np.arange(m)
+    basis[art_rows] = first_art + np.arange(n_art)
+    state = _Simplex(a, sets, lo, hi, x, at_upper, basis, first_set + np.arange(n_sets))
 
     if n_art:
-        c1 = np.zeros(total_cols)
-        c1[n_t:] = -1.0
-        state.set_objective(c1)
-        status = state.run(max_iterations, allowed=np.ones(total_cols, dtype=bool))
+        c1 = np.zeros(n_ext)
+        c1[first_art:-1] = -1.0
+        state.set_phase(c1)
+        status = state.run(max_iterations)
         if status == "iteration_limit":
             return LpSolution("iteration_limit", float("nan"), None, state.iterations)
         if status == "unbounded":  # phase I is bounded above by zero
             raise RuntimeError("phase I reported unbounded; numerical failure")
-        if state.obj_val < -FEAS_TOL:
+        if state.x[first_art:-1].sum() > FEAS_TOL:
             return LpSolution("infeasible", float("nan"), None, state.iterations)
-        _drive_out_artificials(state, n_t)
-        # freeze artificials at zero; they never re-enter
-        state.lo[n_t:] = 0.0
-        state.hi[n_t:] = 0.0
-        state.x[n_t:] = 0.0
+        # freeze artificials at zero; basic ones leave at the first pivot
+        # that moves them, and redundant rows keep theirs
+        state.hi[first_art:-1] = 0.0
+        state.x[first_art:-1] = 0.0
 
-    c2 = np.zeros(total_cols)
-    c2[:nf] = c_f
-    state.set_objective(c2)
-    allowed = np.ones(total_cols, dtype=bool)
-    allowed[n_t:] = False
-    status = state.run(max_iterations, allowed=allowed)
+    c2 = np.zeros(n_ext)
+    c2[:n] = problem.objective
+    state.set_phase(c2)
+    status = state.run(max_iterations)
     if status == "unbounded":
         return LpSolution("unbounded", float("inf"), None, state.iterations)
     if status == "iteration_limit":
         return LpSolution("iteration_limit", float("nan"), None, state.iterations)
 
-    x_full = np.empty(n)
-    x_full[free_idx] = state.x[:nf]
-    x_full[fixed_idx] = x_fixed
+    x_out = state.x[:n]
+    off_bounds = max(float(np.max(lower - x_out, initial=0.0)), float(np.max(x_out - upper, initial=0.0)))
     # snap tiny bound violations introduced by float drift
-    x_full = np.minimum(np.maximum(x_full, problem.lower), problem.upper)
-    objective = float(problem.objective @ x_full)
-    return LpSolution("optimal", objective, x_full, state.iterations)
-
-
-def _drive_out_artificials(state: _Tableau, n_t: int) -> None:
-    """Pivot basic artificials out on any usable column; drop redundant rows."""
-    drop = []
-    for row in range(len(state.basis)):
-        if state.basis[row] < n_t:
-            continue
-        usable = np.nonzero(
-            (np.abs(state.tab[row, :n_t]) > FEAS_TOL) & ~state.in_basis[:n_t]
-        )[0]
-        if usable.size:
-            q = int(usable[0])
-            leaving = state.basis[row]
-            state.in_basis[leaving] = False
-            state.in_basis[q] = True
-            state.basis[row] = q
-            # degenerate pivot: the artificial is at zero, values do not move
-            state._pivot(row, q)
-        else:
-            drop.append(row)
-    if drop:
-        keep = np.setdiff1d(np.arange(len(state.basis)), drop)
-        state.tab = np.asfortranarray(state.tab[keep])
-        state.basis = state.basis[keep]
+    x_out = np.minimum(np.maximum(x_out, lower), upper)
+    worst = max(off_bounds, constraint_violation(problem, x_out))
+    if worst > FEAS_TOL:
+        raise RuntimeError(f"optimal point violates a row, set or bound by {worst:.3e}")
+    objective = float(problem.objective @ x_out)
+    return LpSolution("optimal", objective, x_out, state.iterations)
 
 
 def constraint_violation(problem: LpProblem, x: np.ndarray) -> float:
-    """Largest signed violation of any row of the problem at point x."""
+    """Largest signed violation of any row or set of the problem at point x."""
     ax = problem.a_matrix @ x
     worst = 0.0
     for i, s in enumerate(problem.senses):
@@ -395,4 +370,6 @@ def constraint_violation(problem: LpProblem, x: np.ndarray) -> float:
             worst = max(worst, problem.rhs[i] - ax[i])
         else:
             worst = max(worst, abs(ax[i] - problem.rhs[i]))
-    return worst
+    member = problem.sets >= 0
+    set_sums = np.bincount(problem.sets[member], x[member])
+    return max(worst, float(np.max(set_sums - 1.0, initial=0.0)))

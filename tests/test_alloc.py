@@ -12,6 +12,7 @@ from doseuplift.alloc import (
     AllocError,
     AllocationProblem,
     Policy,
+    _build_lp,
     brute_force,
     dp_applicable,
     fairness_violation,
@@ -491,6 +492,19 @@ def test_bnb_strict_eps_one_keeps_constraint():
         )
     )
     assert np.array_equal(relaxed.policy.dose_indices, [1, 0])
+
+
+def test_build_lp_keeps_one_dose_rows_implicit_at_paper_scale():
+    rng = np.random.default_rng(747)
+    vals = rng.uniform(-0.2, 0.9, size=(747, 11))
+    vals[:, 0] = 0.0
+    prob = make_problem(
+        _cade(vals), budget=140.0, groups=rng.integers(0, 2, size=747), eps_dt=0.25, eps_do=0.25
+    )
+    lp = _build_lp(prob)
+    # the budget row and two rows per fairness pair; no row per entity
+    assert lp.n_rows == 5 and lp.a_matrix.shape == (5, 747 * 10)
+    assert np.array_equal(lp.sets, np.repeat(np.arange(747), 10))
 
 
 # ---------------------------------------------------------------------------

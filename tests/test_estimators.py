@@ -256,6 +256,23 @@ def test_binned_rejects_bad_k(small_data):
         fit_binned_slearner(ds, dose_bins=5, k=0)
 
 
+@pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan, np.inf, -np.inf])
+def test_estimators_reject_doses_outside_unit_interval(small_data, bad):
+    # a negative dose used to pick a binned stratum from the end of the list,
+    # and NaN raised from int() without naming the dose
+    ds, gt = small_data
+    x_mat = ds.covariates.features[:3]
+    for est in (
+        oracle_estimator(gt),
+        fit_rf_slearner(ds, RfConfig(n_trees=2, seed=1)),
+        fit_binned_slearner(ds, dose_bins=10, k=5),
+    ):
+        with pytest.raises(ValueError, match=f"dose {bad!r} is not a finite value in"):
+            est.predict_mu([bad, 0.55], x_mat)
+        with pytest.raises(ValueError, match=f"dose {bad!r}"):
+            est.predict_mu([0.55, bad], x_mat)
+
+
 def test_binned_randomized_assignment_recovery():
     # doses independent of covariates: the stratum means of factual outcomes
     # converge to the mean of the true dose-response surface inside each bin

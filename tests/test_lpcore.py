@@ -1,9 +1,16 @@
 """Tests for the bounded-variable simplex engine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doseuplift.lpcore import LpError, LpProblem, constraint_violation, solve_lp
+from doseuplift.lpcore import FEAS_TOL, LpError, LpProblem, constraint_violation, solve_lp
 
 from .oracles import simplex_oracle
 
@@ -212,3 +219,158 @@ def test_mixed_sense_random_agreement():
         _, obj = simplex_oracle(c, a_oracle, b_oracle)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(obj, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# one-of sets (the one-dose-per-entity rows, kept implicit)
+# ---------------------------------------------------------------------------
+
+def _set_rows(sets: np.ndarray) -> np.ndarray:
+    """Each set written as an explicit row of ones over its columns."""
+    n_sets = int(sets.max(initial=-1)) + 1
+    return (sets[None, :] == np.arange(n_sets)[:, None]).astype(float)
+
+
+@st.composite
+def _allocation_lps(draw):
+    """Allocation-shaped LPs: entities x doses, budget and fairness rows, fixings.
+
+    Values and costs come from short lists, so tied and duplicate columns and
+    zero-cost doses are common; eps = 0 fairness rows are degenerate.
+    """
+    n = draw(st.integers(1, 6))
+    delta = draw(st.integers(1, 4))
+    nv = n * delta
+    quarters = st.integers(-2, 6).map(lambda k: k / 4)
+    values = np.asarray(draw(st.lists(quarters, min_size=nv, max_size=nv)))
+    costs = np.asarray(draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))) / 4
+    dose = np.tile(np.arange(1, delta + 1) / delta, n)
+    groups = np.repeat(np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))), delta)
+    rows, rhs = [], []
+    if draw(st.booleans()):
+        rows.append(costs)
+        rhs.append(draw(st.integers(0, 2 * n)) / 2)
+    for weights in draw(st.lists(st.sampled_from([dose, values]), max_size=2)):
+        eps = draw(st.sampled_from([0.0, 0.25, 1.0]))
+        coef0 = np.where(groups == 0, weights, 0.0) / max(1, int((groups == 0).sum()) // delta)
+        coef1 = np.where(groups == 1, weights, 0.0) / max(1, int((groups == 1).sum()) // delta)
+        rows += [(1.0 - eps) * coef1 - coef0, coef0 - (1.0 + eps) * coef1]
+        rhs += [0.0, 0.0]
+    lower, upper = np.zeros(nv), np.ones(nv)
+    for ent in range(n):
+        fix = draw(st.integers(-1, delta))  # -1 free, 0 one dose fixed to 0, d>=1 dose d to 1
+        if fix == 0:
+            upper[ent * delta + draw(st.integers(0, delta - 1))] = 0.0
+        elif fix > 0:
+            upper[ent * delta:(ent + 1) * delta] = 0.0  # branch-and-bound style: siblings to 0
+            lower[ent * delta + fix - 1] = upper[ent * delta + fix - 1] = 1.0
+    return LpProblem(
+        objective=values,
+        a_matrix=np.asarray(rows).reshape(len(rows), nv),
+        senses=["<="] * len(rows),
+        rhs=np.asarray(rhs),
+        lower=lower,
+        upper=upper,
+        sets=np.repeat(np.arange(n), delta),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_allocation_lps())
+def test_implicit_sets_match_explicit_rows_and_oracle(p):
+    got = solve_lp(p)
+    explicit = LpProblem(
+        objective=p.objective,
+        a_matrix=np.vstack([p.a_matrix, _set_rows(p.sets)]),
+        senses=p.senses + ("<=",) * (int(p.sets.max()) + 1),
+        rhs=np.concatenate([p.rhs, np.ones(int(p.sets.max()) + 1)]),
+        lower=p.lower,
+        upper=p.upper,
+    )
+    ref = solve_lp(explicit)
+    assert got.status == ref.status
+    if p.n_rows and p.a_matrix[0].min() >= 0 and p.a_matrix[0] @ p.lower > p.rhs[0] + FEAS_TOL:
+        assert got.status == "infeasible"  # the fixings alone break a budget-like row
+    if got.status == "optimal":
+        assert got.objective == pytest.approx(ref.objective, abs=1e-7)
+        assert constraint_violation(p, got.x) <= FEAS_TOL
+        assert np.all(got.x >= p.lower) and np.all(got.x <= p.upper)
+
+    # the oracle needs x >= 0 and b >= 0: shift the fixings out, boxes and sets as rows
+    a_all = np.vstack([p.a_matrix, _set_rows(p.sets), np.eye(p.n_cols)])
+    b_all = np.concatenate([p.rhs, np.ones(int(p.sets.max()) + 1), p.upper]) - a_all @ p.lower
+    if np.all(b_all >= 0):
+        status, obj = simplex_oracle(p.objective, a_all, b_all)
+        assert got.status == status == "optimal"
+        assert got.objective == pytest.approx(obj + p.objective @ p.lower, abs=1e-7)
+
+    capped = solve_lp(p, max_iterations=1)
+    assert capped.iterations <= 1
+    if capped.status != "iteration_limit":
+        assert capped.status == got.status
+        if got.status == "optimal":
+            assert capped.objective == pytest.approx(got.objective, abs=1e-7)
+
+
+def test_fixed_lower_bounds_overfilling_a_set_are_infeasible_without_pivots():
+    p = LpProblem(
+        [1.0, 1.0, 1.0], np.zeros((0, 3)), [], [], [1.0, 0.5, 0.0], [1.0, 1.0, 1.0], sets=[0, 0, 1]
+    )
+    sol = solve_lp(p)
+    assert sol.status == "infeasible" and sol.iterations == 0
+    assert constraint_violation(p, p.lower) == pytest.approx(0.5)
+
+
+def test_sets_validated():
+    for sets in ([0], [0.0, 1.0], [-2, 0], [0, 2]):
+        with pytest.raises(LpError):
+            LpProblem([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [0.0, 0.0], [1.0, 1.0], sets=sets)
+
+
+def test_optimal_point_is_certified(monkeypatch):
+    """A drifted point is refused instead of being reported optimal."""
+    from doseuplift import lpcore
+
+    p = _problem([1.0, 1.0], [[1.0, 2.0]], ["<="], [2.0], [0.0, 0.0], [1.0, 1.0])
+    real_run = lpcore._Simplex.run
+
+    def drifting_run(self, max_iterations):
+        status = real_run(self, max_iterations)
+        self.x[0] += 1e-3  # the row and the bound of column 0 now fail
+        return status
+
+    monkeypatch.setattr(lpcore._Simplex, "run", drifting_run)
+    with pytest.raises(RuntimeError, match="violates"):
+        solve_lp(p)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, doseuplift; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_leaving_key_hands_over_to_a_basic_sibling():
+    # x0 enters the budget slot first; then y frees budget, x0 keeps rising,
+    # and the set's slack (its key) reaches 0 while x0 is still inside its
+    # box, so x0 must take over as key and y takes x0's slot
+    p = LpProblem(
+        objective=[1.0, 0.5, 0.1],
+        a_matrix=[[2.0, 1.0, -1.0]],
+        senses=["<="],
+        rhs=[1.0],
+        lower=[0.0, 0.2, 0.0],
+        upper=[1.0, 1.0, 2.0],
+        sets=[0, 0, -1],
+    )
+    sol = solve_lp(p)
+    assert sol.status == "optimal"
+    a_all = np.vstack([p.a_matrix, [[1.0, 1.0, 0.0]], np.eye(3)])
+    b_all = np.concatenate([p.rhs, [1.0], p.upper]) - a_all @ p.lower
+    _, obj = simplex_oracle(p.objective, a_all, b_all)
+    assert sol.objective == pytest.approx(obj + p.objective @ p.lower, abs=1e-9)
+    assert constraint_violation(p, sol.x) <= FEAS_TOL
