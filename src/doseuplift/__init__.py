@@ -9,7 +9,6 @@ from .alloc import (
     AllocationProblem,
     Policy,
     SolveReport,
-    brute_force,
     make_problem,
     policy_cost,
     policy_value,

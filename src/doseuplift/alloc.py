@@ -1,4 +1,4 @@
-"""Constrained dose allocation: greedy, exact DP, branch-and-bound, brute force.
+"""Constrained dose allocation: greedy, exact DP, branch-and-bound.
 
 The problem: pick exactly one grid dose per entity, maximizing the sum of
 benefit-weighted dose effects, subject to a total-cost budget and optional
@@ -242,7 +242,7 @@ def policy_value(policy: Policy, cade: CadeMatrix, benefits: np.ndarray | None =
     return float(per_entity.sum())
 
 
-def _group_means(policy: Policy, weights: np.ndarray, groups: np.ndarray) -> tuple[float, float]:
+def group_means(policy: Policy, weights: np.ndarray, groups: np.ndarray) -> tuple[float, float]:
     """Per-group means of the policy-selected entries of ``weights``."""
     picked = np.sum(policy.matrix * weights, axis=1)
     return float(picked[groups == 0].mean()), float(picked[groups == 1].mean())
@@ -252,7 +252,7 @@ def fairness_violation(prob: AllocationProblem, policy: Policy) -> float:
     """Largest violation of the active fairness inequalities (0 when none)."""
     worst = 0.0
     for _, eps, weights in prob.active_fairness():
-        m0, m1 = _group_means(policy, weights, prob.groups)
+        m0, m1 = group_means(policy, weights, prob.groups)
         worst = max(worst, (1.0 - eps) * m1 - m0, m0 - (1.0 + eps) * m1)
     return worst
 
@@ -269,6 +269,16 @@ def _finish(status, objective, policy, nodes, root_bound, best_bound, t0) -> Sol
     )
 
 
+def _best_nonnegative_dose(prob: AllocationProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Each entity's best dose index (the lowest on ties) and its value, with
+    dose 0 and value 0 where no dose has a positive value."""
+    values = prob.value_matrix()
+    best_dose = np.argmax(values, axis=1)  # first max: lowest dose index
+    best_val = values[np.arange(prob.n), best_dose]
+    positive = best_val > 0.0
+    return np.where(positive, best_dose, 0), np.where(positive, best_val, 0.0)
+
+
 def solve_greedy(prob: AllocationProblem) -> SolveReport:
     """Rank entities by their best dose effect; assign while budget remains.
 
@@ -278,12 +288,7 @@ def solve_greedy(prob: AllocationProblem) -> SolveReport:
     t0 = time.perf_counter()
     if prob.active_fairness():
         raise AllocError("greedy heuristic does not support fairness constraints")
-    values = prob.value_matrix()
-    best_dose = np.argmax(values, axis=1)  # first max: lowest dose index
-    best_val = values[np.arange(prob.n), best_dose]
-    best_dose = np.where(best_val > 0.0, best_dose, 0)
-    best_val = np.where(best_val > 0.0, best_val, 0.0)
-
+    best_dose, best_val = _best_nonnegative_dose(prob)
     order = sorted(range(prob.n), key=lambda i: (-best_val[i], i))
     remaining = prob.budget
     assign = np.zeros(prob.n, dtype=int)
@@ -355,17 +360,11 @@ def solve_dp_sweep(prob: AllocationProblem, budgets) -> list[SolveReport]:
             v = values[i, d]
             if c > cap:
                 continue
-            if c == 0:
-                shifted = dp + v
-                better = shifted > cand
-                cand[better] = shifted[better]
-                choice[i, better] = d
-            else:
-                shifted = dp[:-c] + v
-                seg = cand[c:]
-                better = shifted > seg
-                seg[better] = shifted[better]
-                choice[i, c:][better] = d
+            shifted = dp[: dp.size - c] + v
+            seg = cand[c:]
+            better = shifted > seg
+            seg[better] = shifted[better]
+            choice[i, c:][better] = d
         dp = cand
     build_s = time.perf_counter() - t0
 
@@ -549,72 +548,12 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
     return _finish("optimal", inc_obj, incumbent, nodes, root_bound, best_bound, t0)
 
 
-def brute_force(prob: AllocationProblem) -> SolveReport:
-    """Exhaustive enumeration oracle for small instances.
-
-    Combinations are scanned in lexicographic order with strict-improvement
-    updates, so ties resolve to the lexicographically smallest assignment.
-    """
-    t0 = time.perf_counter()
-    n, delta = prob.n, prob.delta
-    n_doses = delta + 1
-    combos = n_doses ** n
-    if combos > 10_000_000:
-        raise AllocError("instance too large for brute force")
-
-    values = prob.value_matrix()
-    g0 = prob.groups == 0
-    g1 = prob.groups == 1
-    strides = [n_doses ** (n - 1 - i) for i in range(n)]
-
-    best_obj = -np.inf
-    best_combo = None
-    chunk = 1_000_000
-    for start in range(0, combos, chunk):
-        idx = np.arange(start, min(start + chunk, combos), dtype=np.int64)
-        digits = [(idx // strides[i]) % n_doses for i in range(n)]
-        total_value = np.zeros(idx.shape[0])
-        total_cost = np.zeros(idx.shape[0])
-        for i in range(n):
-            total_value += values[i, digits[i]]
-            total_cost += prob.costs[i, digits[i]]
-        feasible = total_cost <= prob.budget + BUDGET_TOL
-        for _, eps, weights in prob.active_fairness():
-            sum0 = np.zeros(idx.shape[0])
-            sum1 = np.zeros(idx.shape[0])
-            for i in range(n):
-                if g0[i]:
-                    sum0 += weights[i, digits[i]]
-                else:
-                    sum1 += weights[i, digits[i]]
-            m0 = sum0 / g0.sum()
-            m1 = sum1 / g1.sum()
-            feasible &= m0 >= (1.0 - eps) * m1 - BUDGET_TOL
-            feasible &= m0 <= (1.0 + eps) * m1 + BUDGET_TOL
-        if not np.any(feasible):
-            continue
-        masked = np.where(feasible, total_value, -np.inf)
-        k = int(np.argmax(masked))  # first maximum within the chunk
-        if masked[k] > best_obj:
-            best_obj = float(masked[k])
-            best_combo = np.asarray([int(digits[i][k]) for i in range(n)])
-
-    if best_combo is None:
-        return _finish("infeasible", float("nan"), None, combos, None, None, t0)
-    policy = Policy.from_dose_indices(best_combo, n_doses)
-    objective = policy_value(policy, prob.cade, prob.benefits)
-    return _finish("optimal", objective, policy, combos, None, objective, t0)
-
-
 def flattening_budget(prob: AllocationProblem) -> float:
     """Budget beyond which the exact optimum stops improving.
 
     The cost of giving every entity its best nonnegative-value dose.
     """
-    values = prob.value_matrix()
-    best_dose = np.argmax(values, axis=1)
-    best_val = values[np.arange(prob.n), best_dose]
-    best_dose = np.where(best_val > 0.0, best_dose, 0)
+    best_dose, _ = _best_nonnegative_dose(prob)
     return float(prob.costs[np.arange(prob.n), best_dose].sum())
 
 

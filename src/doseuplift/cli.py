@@ -25,15 +25,7 @@ from .datagen import (
     save_dataset,
     synth_covariates,
 )
-from .estimators import (
-    RfConfig,
-    cade_matrix,
-    fit_binned_slearner,
-    fit_rf_slearner,
-    mise,
-    oracle_estimator,
-    save_cade_csv,
-)
+from .estimators import RfConfig, cade_matrix, mise, save_cade_csv
 from .experiments import ExperimentConfig, gen_config, load_config, parse_feature_subsample
 
 
@@ -83,25 +75,21 @@ def _cmd_fit(args) -> int:
         gt = GroundTruth.from_json(Path(args.groundtruth).read_text())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if args.estimator == "oracle" and gt is None:
+        raise SystemExit("--estimator oracle requires --groundtruth PATH")
 
-    if args.estimator == "oracle":
-        if gt is None:
-            raise SystemExit("--estimator oracle requires --groundtruth PATH")
-        est = oracle_estimator(gt)
-    elif args.estimator == "rf":
-        cfg = RfConfig(
-            n_trees=args.trees,
-            max_depth=args.max_depth,
-            min_samples_leaf=args.min_samples_leaf,
-            feature_subsample=args.feature_subsample,
-            seed=args.seed,
-        )
-        est = fit_rf_slearner(ds, cfg)
+    cfg = ExperimentConfig(
+        seed=args.seed,
+        rf_trees=(args.trees,),
+        rf_max_depth=(args.max_depth,),
+        rf_min_samples_leaf=(args.min_samples_leaf,),
+        rf_feature_subsample=args.feature_subsample,
+        binned_bins=args.bins,
+        binned_neighbors=args.neighbors,
+    )
+    est = experiments.build_estimator(args.estimator, cfg, ds, gt)
+    if args.estimator == "rf":
         (out / "model.json").write_text(est.forest.to_json())
-    elif args.estimator == "binned":
-        est = fit_binned_slearner(ds, dose_bins=args.bins, k=args.neighbors)
-    else:
-        raise SystemExit(f"unknown estimator {args.estimator!r}")
 
     matrix = cade_matrix(est, ds, args.delta)
     save_cade_csv(matrix, out / "cade.csv")

@@ -81,7 +81,7 @@ class BinnedSLearner(Estimator):
     """Per-dose-stratum nearest-neighbor means over the covariates.
 
     Queries in a stratum with no training data fall back to the global mean;
-    the fallback count is kept in ``diagnostics``.
+    ``diagnostics["empty_strata"]`` lists those strata, fixed at fit time.
     """
 
     kind = "binned_slearner"
@@ -93,7 +93,7 @@ class BinnedSLearner(Estimator):
         self.strata_x: list[np.ndarray] = []
         self.strata_y: list[np.ndarray] = []
         self.stratum_means = np.empty(dose_bins)
-        self.diagnostics = {"empty_strata": [], "fallback_queries": 0}
+        self.diagnostics = {"empty_strata": []}
         self._partition(x_train, y_train)
 
     def _partition(self, x_train, y_train):
@@ -123,7 +123,6 @@ class BinnedSLearner(Estimator):
             xs, ys = self.strata_x[b], self.strata_y[b]
             if xs.shape[0] == 0:
                 out[:, cols] = self.global_mean
-                self.diagnostics["fallback_queries"] += x_mat.shape[0] * int(cols.sum())
                 continue
             k = min(self.k, xs.shape[0])
             d2 = ((x_mat[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2)

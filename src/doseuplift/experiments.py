@@ -87,22 +87,12 @@ class ExperimentConfig:
                 raise ConfigError("fairness slack grids must lie in [0, 1]")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
+def _parse_list(text: str, kind) -> tuple:
+    return tuple(kind(v.strip()) for v in text.split(",") if v.strip())
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
-
-
-def _parse_depths(text: str) -> tuple[int | None, ...]:
-    out = []
-    for v in text.split(","):
-        v = v.strip()
-        if not v:
-            continue
-        out.append(None if v.lower() == "none" else int(v))
-    return tuple(out)
+def _parse_depth(text: str) -> int | None:
+    return None if text.lower() == "none" else int(text)
 
 
 def parse_feature_subsample(text: str) -> str | int:
@@ -122,45 +112,30 @@ def _parse_range_or_list(text: str) -> tuple[float, ...]:
             vals.append(round(b, 10))
             b += step
         return tuple(vals)
-    return _parse_float_list(text)
+    return _parse_list(text, float)
 
 
+# keys whose syntax is not implied by the type of their default
 _PARSERS = {
-    "data": str,
-    "seed": int,
-    "subsample": int,
-    "delta": int,
-    "treatment_noise_variance": float,
-    "outcome_noise_variance": float,
-    "gamma": float,
-    "gamma_scale": float,
-    "protected_feature": int,
-    "estimators": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
-    "estimator": str,
-    "rf_trees": _parse_int_list,
-    "rf_max_depth": _parse_depths,
-    "rf_min_samples_leaf": _parse_int_list,
+    "rf_max_depth": lambda text: _parse_list(text, _parse_depth),
     "rf_feature_subsample": parse_feature_subsample,
-    "cv_folds": int,
-    "binned_bins": int,
-    "binned_neighbors": int,
     "budgets": _parse_range_or_list,
-    "auuc_caps": _parse_float_list,
-    "auuc_step": float,
-    "eps_dt_grid": _parse_float_list,
-    "eps_do_grid": _parse_float_list,
-    "gammas": _parse_float_list,
-    "benefits": str,
-    "factors": _parse_int_list,
-    "exact_max_factor": int,
-    "sweep_deltas": _parse_int_list,
-    "sweep_budget": float,
-    "bnb_node_limit": int,
 }
+
+
+def _parse_value(key: str, default, text: str):
+    """A config value in the syntax of ``_PARSERS``, else of its default's type:
+    ``str``, ``int``, ``float``, or a comma list of a tuple's element type."""
+    if key in _PARSERS:
+        return _PARSERS[key](text)
+    if isinstance(default, tuple):
+        return _parse_list(text, type(default[0]))
+    return type(default)(text)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse ``key = value`` lines; '#' starts a comment; unknown keys fail."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -170,12 +145,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _PARSERS:
+        if key not in defaults:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSERS[key](val.strip())
+            values[key] = _parse_value(key, defaults[key], val.strip())
         except ConfigError:
             raise
         except Exception as exc:
@@ -363,7 +338,10 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
 
     The objective column is the prescribed-value curve averaged over the
     budget grid, each budget normalized by the unconstrained full-information
-    optimum at that budget. Disparity columns are averages over budgets.
+    optimum at that budget. Disparity columns are averages over budgets. Each
+    cell solves the budget grid through ``solve_exact_sweep``: one DP table
+    when both slacks disable their pairs, one branch-and-bound per budget
+    otherwise.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -382,16 +360,12 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         rows = []
         for eps_dt in cfg.eps_dt_grid:
             for eps_do in cfg.eps_do_grid:
+                cell = make_problem(
+                    est_cade, budget=0.0, groups=ds.protected, eps_dt=eps_dt, eps_do=eps_do
+                )
+                reports = solve_exact_sweep(cell, cfg.budgets, node_limit=cfg.bnb_node_limit)
                 normed, reps_est, reps_true = [], [], []
-                for b in cfg.budgets:
-                    prob = make_problem(
-                        est_cade,
-                        budget=b,
-                        groups=ds.protected,
-                        eps_dt=eps_dt,
-                        eps_do=eps_do,
-                    )
-                    report = solve_bnb(prob, node_limit=cfg.bnb_node_limit)
+                for b, report in zip(cfg.budgets, reports):
                     if report.status != "optimal":
                         raise RuntimeError(
                             f"cell eps_dt={eps_dt} eps_do={eps_do} budget={b}: "
@@ -487,9 +461,10 @@ def run_exp3(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
 # scalability
 # ---------------------------------------------------------------------------
 
-def oversample_covariates(
-    cov: CovariateTable, factor: int, seed: int, jitter: float = 0.01
-) -> CovariateTable:
+OVERSAMPLE_JITTER = 0.01  # noise sd added to the resampled continuous features
+
+
+def oversample_covariates(cov: CovariateTable, factor: int, seed: int) -> CovariateTable:
     """Original rows plus (factor-1)*n resampled rows with jittered continuous
     features; binary columns are resampled unchanged."""
     if factor < 1:
@@ -500,13 +475,11 @@ def oversample_covariates(
     extra_idx = rng.integers(0, cov.n, size=(factor - 1) * cov.n)
     extra = cov.features[extra_idx].copy()
     cols = list(CONTINUOUS_COLS)
-    extra[:, cols] += rng.normal(0.0, jitter, size=(extra.shape[0], len(cols)))
+    extra[:, cols] += rng.normal(0.0, OVERSAMPLE_JITTER, size=(extra.shape[0], len(cols)))
     return CovariateTable(features=np.vstack([cov.features, extra]))
 
 
-def run_scalability(
-    cfg: ExperimentConfig, out_dir: str | Path, factors: tuple[int, ...] | None = None
-) -> Path:
+def run_scalability(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     """Wall times of the heuristic versus the exact solver on scaled instances.
 
     The budget scales with the oversampling factor. The exact branch-and-bound
@@ -514,10 +487,9 @@ def run_scalability(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    factors = factors or cfg.factors
     base_cov = dataset_from_config(cfg)[0].covariates
     rows = []
-    for factor in factors:
+    for factor in cfg.factors:
         cov = oversample_covariates(base_cov, factor, cfg.seed)
         ds, gt = generate_dataset(cov, gen_config(cfg))
         est = build_estimator(cfg.estimator, cfg, ds, gt)
@@ -558,7 +530,7 @@ def run_scalability(
         ],
         rows,
     )
-    write_sidecar(path, cfg, {"factors": ",".join(str(f) for f in factors)})
+    write_sidecar(path, cfg, {"factors": ",".join(str(f) for f in cfg.factors)})
     return path
 
 
@@ -566,16 +538,13 @@ def run_scalability(
 # dose-bin sweep
 # ---------------------------------------------------------------------------
 
-def run_delta_sweep(
-    cfg: ExperimentConfig, out_dir: str | Path, deltas: tuple[int, ...] | None = None
-) -> Path:
+def run_delta_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     """Prescribed value and solve time at one budget across grid granularities."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    deltas = deltas or cfg.sweep_deltas
     ds, gt = dataset_from_config(cfg)
     rows = []
-    for delta in deltas:
+    for delta in cfg.sweep_deltas:
         est = build_estimator(cfg.estimator, cfg, ds, gt)
         est_cade = cade_matrix(est, ds, delta)
         true_cade = cade_matrix(oracle_estimator(gt), ds, delta)
@@ -587,5 +556,5 @@ def run_delta_sweep(
         rows.append([str(delta), _fmt(presc), _fmt(wall_ms)])
     path = out_dir / "delta_sweep_results.csv"
     _write_csv(path, ["delta", "u_presc", "wall_ms"], rows)
-    write_sidecar(path, cfg, {"deltas": ",".join(str(d) for d in deltas)})
+    write_sidecar(path, cfg, {"deltas": ",".join(str(d) for d in cfg.sweep_deltas)})
     return path

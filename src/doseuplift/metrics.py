@@ -14,6 +14,7 @@ import numpy as np
 from .alloc import (  # noqa: F401
     AllocationProblem,
     Policy,
+    group_means,
     policy_value,
     solve_bnb,
     solve_dp,
@@ -82,7 +83,6 @@ def value_curve(
     budgets,
     solver: str = "exact",
     evaluation: CadeMatrix | None = None,
-    **bnb_kwargs,
 ) -> ValueCurve:
     """Solve at each budget with the problem's own matrix; evaluate on another.
 
@@ -96,7 +96,7 @@ def value_curve(
     if solver == "greedy":
         reports = [solve_greedy(problem.with_budget(float(b))) for b in budgets]
     elif solver == "exact":
-        reports = solve_exact_sweep(problem, budgets, **bnb_kwargs)
+        reports = solve_exact_sweep(problem, budgets)
     else:
         raise MetricError(f"unknown solver {solver!r}")
     values = [policy_value(r.policy, eval_cade, problem.benefits) for r in reports]
@@ -130,16 +130,12 @@ def fairness_report(policy: Policy, cade: CadeMatrix, groups: np.ndarray) -> Fai
     groups = np.asarray(groups, dtype=int)
     if policy.matrix.shape != cade.values.shape:
         raise MetricError("policy and dose-effect matrix shapes differ")
-    masks = [groups == 0, groups == 1]
-    if not (np.any(masks[0]) and np.any(masks[1])):
+    if not (np.any(groups == 0) and np.any(groups == 1)):
         raise MetricError("both protected groups must be non-empty")
-    doses = policy.doses(cade.doses)
-    gains = np.sum(policy.matrix * cade.values, axis=1)
+    dose_g0, dose_g1 = group_means(policy, np.broadcast_to(cade.doses, cade.values.shape), groups)
+    gain_g0, gain_g1 = group_means(policy, cade.values, groups)
     return FairnessReport(
-        mean_dose_g0=float(doses[masks[0]].mean()),
-        mean_dose_g1=float(doses[masks[1]].mean()),
-        mean_gain_g0=float(gains[masks[0]].mean()),
-        mean_gain_g1=float(gains[masks[1]].mean()),
+        mean_dose_g0=dose_g0, mean_dose_g1=dose_g1, mean_gain_g0=gain_g0, mean_gain_g1=gain_g1
     )
 
 

@@ -7,9 +7,16 @@ It shares no code with the production solver.
 The split oracle is the forest's CART split search written one feature at
 a time, and the binned oracle queries the dose-binned kNN model one dose at
 a time: the references the vectorized paths must match bit for bit.
+
+The brute-force oracle enumerates every assignment of an allocation problem,
+for the exact solvers to match on small instances.
 """
 
+import time
+
 import numpy as np
+
+from doseuplift.alloc import BUDGET_TOL, AllocError, Policy, SolveReport, policy_value
 
 
 def simplex_oracle(c, a, b, max_iter=50000):
@@ -107,3 +114,61 @@ def binned_predict_oracle(est, doses, x_mat):
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
         out[:, j] = ys[nearest].mean(axis=1)
     return np.clip(out, 0.0, 1.0), fallback
+
+
+def brute_force(prob):
+    """Exhaustive enumeration oracle for small instances.
+
+    Combinations are scanned in lexicographic order with strict-improvement
+    updates, so ties resolve to the lexicographically smallest assignment.
+    """
+    t0 = time.perf_counter()
+    n, delta = prob.n, prob.delta
+    n_doses = delta + 1
+    combos = n_doses ** n
+    if combos > 10_000_000:
+        raise AllocError("instance too large for brute force")
+
+    values = prob.value_matrix()
+    g0 = prob.groups == 0
+    g1 = prob.groups == 1
+    strides = [n_doses ** (n - 1 - i) for i in range(n)]
+
+    best_obj = -np.inf
+    best_combo = None
+    chunk = 1_000_000
+    for start in range(0, combos, chunk):
+        idx = np.arange(start, min(start + chunk, combos), dtype=np.int64)
+        digits = [(idx // strides[i]) % n_doses for i in range(n)]
+        total_value = np.zeros(idx.shape[0])
+        total_cost = np.zeros(idx.shape[0])
+        for i in range(n):
+            total_value += values[i, digits[i]]
+            total_cost += prob.costs[i, digits[i]]
+        feasible = total_cost <= prob.budget + BUDGET_TOL
+        for _, eps, weights in prob.active_fairness():
+            sum0 = np.zeros(idx.shape[0])
+            sum1 = np.zeros(idx.shape[0])
+            for i in range(n):
+                if g0[i]:
+                    sum0 += weights[i, digits[i]]
+                else:
+                    sum1 += weights[i, digits[i]]
+            m0 = sum0 / g0.sum()
+            m1 = sum1 / g1.sum()
+            feasible &= m0 >= (1.0 - eps) * m1 - BUDGET_TOL
+            feasible &= m0 <= (1.0 + eps) * m1 + BUDGET_TOL
+        if not np.any(feasible):
+            continue
+        masked = np.where(feasible, total_value, -np.inf)
+        k = int(np.argmax(masked))  # first maximum within the chunk
+        if masked[k] > best_obj:
+            best_obj = float(masked[k])
+            best_combo = np.asarray([int(digits[i][k]) for i in range(n)])
+
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    if best_combo is None:
+        return SolveReport("infeasible", float("nan"), None, combos, None, None, wall_ms)
+    policy = Policy.from_dose_indices(best_combo, n_doses)
+    objective = policy_value(policy, prob.cade, prob.benefits)
+    return SolveReport("optimal", objective, policy, combos, None, objective, wall_ms)

@@ -14,7 +14,6 @@ import pytest
 
 from doseuplift.alloc import (
     AllocationProblem,
-    brute_force,
     fairness_violation,
     flattening_budget,
     make_problem,
@@ -44,7 +43,7 @@ from doseuplift.experiments import (
 from doseuplift.lpcore import LpProblem, constraint_violation, solve_lp
 from doseuplift.metrics import ValueCurve, auuc, regret, solve_exact, value_curve
 
-from .oracles import simplex_oracle
+from .oracles import brute_force, simplex_oracle
 
 SEED = 2024
 N_BENCH = 747

@@ -13,7 +13,6 @@ from doseuplift.alloc import (
     AllocationProblem,
     Policy,
     _build_lp,
-    brute_force,
     dp_applicable,
     fairness_violation,
     flattening_budget,
@@ -32,6 +31,8 @@ from doseuplift.alloc import (
 )
 from doseuplift.estimators import CadeMatrix
 from doseuplift.metrics import value_curve
+
+from .oracles import brute_force
 
 
 def _cade(values):

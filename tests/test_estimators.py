@@ -1,5 +1,7 @@
 """Tests for dose-response estimators, forests, and the MISE metric."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -237,7 +239,20 @@ def test_binned_empty_stratum_falls_back(small_data):
     assert len(est.diagnostics["empty_strata"]) > 0
     mu = est.predict_mu(np.asarray([0.95]), ds.covariates.features[:3])
     assert np.allclose(mu, np.clip(ds.outcomes.mean(), 0, 1))
-    assert est.diagnostics["fallback_queries"] == 3
+
+
+def test_binned_predict_leaves_fitted_model_unchanged(small_data):
+    ds, _ = small_data
+    squeezed = Dataset(
+        covariates=ds.covariates,
+        doses=np.clip(ds.doses, 0.0, 0.49),
+        outcomes=ds.outcomes,
+        protected=ds.protected,
+    )
+    est = fit_binned_slearner(squeezed, dose_bins=10, k=5)
+    before = copy.deepcopy(est.__dict__)
+    est.predict_mu(np.asarray([0.2, 0.95]), ds.covariates.features[:3])  # 0.95: empty stratum
+    np.testing.assert_equal(est.__dict__, before)
 
 
 def test_binned_recovers_dose_identity():

@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from doseuplift import alloc
 from doseuplift.cli import main
 from doseuplift.experiments import (
     ConfigError,
     ExperimentConfig,
     config_hash,
+    config_lines,
     dataset_from_config,
     oversample_covariates,
     parse_config,
@@ -110,6 +112,14 @@ def test_parse_config_feature_subsample_count():
             parse_config(f"seed = 1\nrf_feature_subsample = {bad}\n")
 
 
+def test_parse_config_round_trips_config_lines():
+    special = parse_config("rf_max_depth = 5,none\nrf_feature_subsample = 3\nbudgets = 1.5,2,4\n")
+    for cfg in (ExperimentConfig(), special):
+        assert parse_config("\n".join(config_lines(cfg))) == cfg
+    with pytest.raises(ConfigError, match="bad value for 'delta'"):
+        parse_config("delta = 2.5\n")
+
+
 # ---------------------------------------------------------------------------
 # experiment 1
 # ---------------------------------------------------------------------------
@@ -162,6 +172,25 @@ def test_exp2_objective_monotone_in_slack(tmp_path):
     # the fully relaxed cell dominates every other cell
     top = obj[(1.0, 1.0)]
     assert all(v <= top + 1e-9 for v in obj.values())
+
+
+def test_exp2_budget_only_cell_solves_without_bnb(tmp_path, monkeypatch):
+    calls = {}
+    solve_bnb = alloc.solve_bnb
+
+    def counting_bnb(prob, **kwargs):
+        cell = (prob.eps_dt, prob.eps_do)
+        calls[cell] = calls.get(cell, 0) + 1
+        return solve_bnb(prob, **kwargs)
+
+    monkeypatch.setattr(alloc, "solve_bnb", counting_bnb)
+    cfg = _tiny(eps_dt_grid=(0.5, 1.0), eps_do_grid=(0.5, 1.0))
+    (path,) = run_exp2(cfg, tmp_path)
+    per_budget = len(cfg.budgets)
+    assert calls == {(0.5, 0.5): per_budget, (0.5, 1.0): per_budget, (1.0, 0.5): per_budget}
+    header, rows = _read_csv(path)
+    obj = {(float(r[0]), float(r[1])): float(r[8]) for r in rows}
+    assert obj[(1.0, 1.0)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exp2_rf_shows_estimation_gap(tmp_path):
