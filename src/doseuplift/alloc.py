@@ -205,6 +205,8 @@ class SolveReport:
     root_bound: float | None
     best_bound: float | None
     wall_ms: float
+    # work counters (B&B: lp_calls, lp_pivots); kept out of csv_row and files
+    stats: dict[str, int] = field(default_factory=dict)
 
     def csv_row(self, costs: np.ndarray | None = None) -> list[str]:
         cost = policy_cost(self.policy, costs) if (self.policy is not None and costs is not None) else float("nan")
@@ -257,7 +259,7 @@ def fairness_violation(prob: AllocationProblem, policy: Policy) -> float:
     return worst
 
 
-def _finish(status, objective, policy, nodes, root_bound, best_bound, t0) -> SolveReport:
+def _finish(status, objective, policy, nodes, root_bound, best_bound, t0, **stats) -> SolveReport:
     return SolveReport(
         status=status,
         objective=objective,
@@ -266,6 +268,7 @@ def _finish(status, objective, policy, nodes, root_bound, best_bound, t0) -> Sol
         root_bound=root_bound,
         best_bound=best_bound,
         wall_ms=(time.perf_counter() - t0) * 1e3,
+        stats=stats,
     )
 
 
@@ -462,6 +465,16 @@ def _policy_feasible(prob: AllocationProblem, policy: Policy) -> bool:
     return fairness_violation(prob, policy) <= FAIRNESS_TOL
 
 
+def _certify(prob: AllocationProblem, policy: Policy, objective: float, best_bound: float) -> None:
+    """Re-check a B&B result with arithmetic that does not go through the LP."""
+    if policy_cost(policy, prob.costs) > prob.budget + BUDGET_TOL:
+        raise RuntimeError("certificate failed: the incumbent exceeds the budget")
+    if fairness_violation(prob, policy) > FAIRNESS_TOL:
+        raise RuntimeError("certificate failed: the incumbent violates a fairness bound")
+    if not best_bound >= objective:
+        raise RuntimeError("certificate failed: the bound is below the objective")
+
+
 def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveReport:
     """Exact branch-and-bound over the LP relaxation.
 
@@ -469,7 +482,11 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
     to 1 versus 0). The incumbent starts from the greedy policy when no
     fairness constraint is active, otherwise from the always-feasible
     all-zeros policy. Exceeding the node limit reports the incumbent with
-    its proven bound instead of failing.
+    its proven bound instead of failing. Before either is reported, the
+    incumbent is re-checked against budget and fairness and the bound
+    against the objective; a failed check raises ``RuntimeError``.
+    ``stats`` counts the node LPs (``lp_calls``) and their pivots
+    (``lp_pivots``).
     """
     t0 = time.perf_counter()
     n, delta = prob.n, prob.delta
@@ -485,6 +502,7 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
     heap: list[tuple[float, int, tuple]] = [(-np.inf, seq, ())]
     nodes = 0
     root_bound = None
+    stats = {"lp_calls": 0, "lp_pivots": 0}
 
     while heap:
         neg_bound, _, fixings = heapq.heappop(heap)
@@ -493,7 +511,8 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
             break  # best-bound order: nothing left can improve
         if nodes >= node_limit:
             best_bound = max(bound_est, inc_obj)
-            return _finish("limit", inc_obj, incumbent, nodes, root_bound, best_bound, t0)
+            _certify(prob, incumbent, inc_obj, best_bound)
+            return _finish("limit", inc_obj, incumbent, nodes, root_bound, best_bound, t0, **stats)
         nodes += 1
 
         lower = base.lower.copy()
@@ -508,6 +527,8 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
                 upper[var] = 1.0
                 lower[var] = 1.0
         sol = solve_lp(base.with_bounds(lower, upper))
+        stats["lp_calls"] += 1
+        stats["lp_pivots"] += sol.iterations
         if sol.status == "infeasible":
             continue
         if sol.status != "optimal":
@@ -545,7 +566,8 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
             heapq.heappush(heap, (-sol.objective, seq, fixings + ((var, val),)))
 
     best_bound = inc_obj
-    return _finish("optimal", inc_obj, incumbent, nodes, root_bound, best_bound, t0)
+    _certify(prob, incumbent, inc_obj, best_bound)
+    return _finish("optimal", inc_obj, incumbent, nodes, root_bound, best_bound, t0, **stats)
 
 
 def flattening_budget(prob: AllocationProblem) -> float:

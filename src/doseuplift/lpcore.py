@@ -6,9 +6,12 @@ most 1, such as the one-dose-per-entity rows of the allocation LP. A set is
 never written as a row. It keeps one basic "key" variable that absorbs the
 set's equation (generalized upper bounds, Dantzig & Van Slyke 1967), so the
 working basis spans only the coupling rows. The allocation LP has at most
-five of those however many entities it has, so the basis is rebuilt and
-inverted densely at every iteration, and pricing is one vectorized pass
-over all columns.
+five of those however many entities it has, so the small basis is inverted
+densely at every iteration. What is full-width is kept between iterations
+instead of rebuilt: every column minus its set's key column (refreshed for
+one set's members when that set's key changes), the same reduction of the
+objective, and a sign vector that folds bound status and eligibility into
+pricing, which is then one product and one argmax over all columns.
 """
 
 from __future__ import annotations
@@ -122,48 +125,53 @@ class _Simplex:
     """Simplex state over the columns [structurals | row slacks | set slacks |
     artificials | null].
 
-    ``a`` holds the coupling rows only. Every set has one key variable
+    Only the coupling rows are held. Every set has one key variable
     (``key``) among its basic members; the other basic variables fill one
     slot per coupling row (``basis``). The null column is all zeros and the
     key of set -1, so "column minus its set's key column" needs no branch.
+    ``ar`` and ``cr`` hold every column of the rows and of the phase
+    objective minus its set's key column. ``ar`` starts as the plain rows,
+    taken over, not copied: every start key is a set slack, an all-zero
+    column. A key change re-reduces its set's members from ``a``, the
+    problem's matrix. ``sign`` is +1 for a nonbasic variable at its lower
+    bound, -1 at its upper bound, and 0 for a basic or fixed one, so
+    ``d * sign`` is the gain of letting a column enter.
     """
 
-    def __init__(self, a, sets, lo, hi, x, at_upper, basis, key):
+    def __init__(self, a, ar, sets, lo, hi, x, at_upper, basis, key):
         self.a = a
+        self.ar = ar
         self.sets = sets
         self.lo = lo
         self.hi = hi
         self.x = x
         self.at_upper = at_upper
         self.basis = basis
-        self.key = np.append(key, a.shape[1] - 1)
-        self.in_basis = np.zeros(a.shape[1], dtype=bool)
-        self.in_basis[basis] = True
-        self.in_basis[key] = True
+        self.key = np.append(key, ar.shape[1] - 1)
         self.iterations = 0
 
     def set_phase(self, c: np.ndarray) -> None:
         self.c = c
+        self.cr = c - c[self.key[self.sets]]
         self.obj_val = float(c @ self.x)
-        # columns that can never enter: fixed bounds or the null column
-        self.fixed = self.lo >= self.hi
+        # +1 at lower, -1 at upper; basic and fixed columns (the null column,
+        # frozen artificials) never enter
+        self.sign = 1.0 - 2.0 * self.at_upper
+        self.sign[self.lo >= self.hi] = 0.0
+        self.sign[self.basis] = 0.0
+        self.sign[self.key] = 0.0
 
     def _working_basis(self):
         """Inverse of the reduced basis and the reduced costs of every column."""
-        keys = self.key[self.sets[self.basis]]
-        b_mat = self.a[:, self.basis] - self.a[:, keys]
         try:
-            b_inv = np.linalg.inv(b_mat)
+            b_inv = np.linalg.inv(self.ar[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("singular working basis; numerical failure") from exc
-        pi = (self.c[self.basis] - self.c[keys]) @ b_inv
-        d = self.c - pi @ self.a
-        d -= d[self.key][self.sets]
-        return b_inv, d
+        pi = self.cr[self.basis] @ b_inv
+        return b_inv, self.cr - pi @ self.ar
 
     def _entering(self, d: np.ndarray, bland: bool) -> int:
-        score = np.where(self.at_upper, -d, d)
-        score[self.in_basis | self.fixed] = 0.0
+        score = d * self.sign
         if bland:
             idx = np.flatnonzero(score > PIVOT_TOL)
             return int(idx[0]) if idx.size else -1
@@ -178,7 +186,7 @@ class _Simplex:
         move, at most 2 * rows + 1 variables, so plain lists beat arrays here.
         """
         s_q = int(self.sets[q])
-        alpha = b_inv @ (self.a[:, q] - self.a[:, self.key[s_q]])
+        alpha = b_inv @ self.ar[:, q]
         moved = self.basis.tolist()
         rate = (alpha * -direction).tolist()
         # a set's key absorbs what its other members gain
@@ -214,8 +222,9 @@ class _Simplex:
 
     def _exchange(self, q: int, leaving: int, pos: int) -> None:
         """Basis change: q enters, the basic variable ``leaving`` exits."""
-        self.in_basis[leaving] = False
-        self.in_basis[q] = True
+        self.sign[q] = 0.0
+        if self.lo[leaving] < self.hi[leaving]:
+            self.sign[leaving] = -1.0 if self.at_upper[leaving] else 1.0
         if pos < len(self.basis):
             self.basis[pos] = q
             return
@@ -224,12 +233,22 @@ class _Simplex:
         same = np.flatnonzero(self.sets[self.basis] == s)
         if same.size:
             slot = int(same[0])
-            self.key[s] = self.basis[slot]
+            self._set_key(s, self.basis[slot])
             self.basis[slot] = q
         elif self.sets[q] == s:
-            self.key[s] = q
+            self._set_key(s, q)
         else:
             raise RuntimeError("leaving key has no successor; numerical failure")
+
+    def _set_key(self, s: int, k: int) -> None:
+        """Make k the key of set s and re-reduce the set's member columns."""
+        self.key[s] = k
+        members = np.flatnonzero(self.sets == s)
+        # structural columns, then the set's slack, an all-zero column
+        cols = np.zeros((self.ar.shape[0], members.size))
+        cols[:, :-1] = self.a[:, members[:-1]]
+        self.ar[:, members] = cols - cols[:, members == k]
+        self.cr[members] = self.c[members] - self.c[k]
 
     def run(self, max_iterations: int) -> str:
         """Iterate to optimality; returns optimal | unbounded | iteration_limit."""
@@ -256,6 +275,7 @@ class _Simplex:
                 # entering variable moved across to its other bound
                 self.x[q] = self.lo[q] if self.at_upper[q] else self.hi[q]
                 self.at_upper[q] = not self.at_upper[q]
+                self.sign[q] = -self.sign[q]
             else:
                 leaving = moved[pos]
                 hit_upper = rate[pos] > 0
@@ -321,7 +341,9 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     at_upper[first_slack + art_rows] = slack_lo[art_rows] < 0.0  # >= slacks rest at 0
     basis = first_slack + np.arange(m)
     basis[art_rows] = first_art + np.arange(n_art)
-    state = _Simplex(a, sets, lo, hi, x, at_upper, basis, first_set + np.arange(n_sets))
+    state = _Simplex(
+        problem.a_matrix, a, sets, lo, hi, x, at_upper, basis, first_set + np.arange(n_sets)
+    )
 
     if n_art:
         c1 = np.zeros(n_ext)

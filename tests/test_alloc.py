@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doseuplift import alloc, datagen, estimators
 from doseuplift.alloc import (
+    REPORT_CSV_HEADER,
     AllocError,
     AllocationProblem,
     Policy,
@@ -506,6 +508,53 @@ def test_build_lp_keeps_one_dose_rows_implicit_at_paper_scale():
     # the budget row and two rows per fairness pair; no row per entity
     assert lp.n_rows == 5 and lp.a_matrix.shape == (5, 747 * 10)
     assert np.array_equal(lp.sets, np.repeat(np.arange(747), 10))
+
+
+def test_bnb_stats_count_node_lps_and_stay_out_of_the_csv_row(monkeypatch):
+    prob = _random_problem(np.random.default_rng(13), n_max=6, delta_max=3, with_eps=True)
+    pivots = []
+    real_solve_lp = alloc.solve_lp
+
+    def counted(lp):
+        sol = real_solve_lp(lp)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(alloc, "solve_lp", counted)
+    report = solve_bnb(prob)
+    assert report.stats == {"lp_calls": len(pivots), "lp_pivots": sum(pivots)}
+    assert len(pivots) >= report.nodes >= 1
+    assert len(report.csv_row(prob.costs)) == len(REPORT_CSV_HEADER)
+    plain = _two_entity_problem(budget=1.0)
+    assert solve_greedy(plain).stats == {} and solve_dp(plain).stats == {}
+
+
+def test_bnb_certificate_refuses_an_over_budget_incumbent(monkeypatch):
+    prob = _two_entity_problem(budget=0.5)  # the best feasible policy is worth 0.4
+    over = Policy.from_dose_indices(np.asarray([1, 2]), 3)  # cost 1.5, worth 0.9
+
+    def over_budget_greedy(p):
+        return replace(solve_greedy(p), objective=0.9, policy=over)
+
+    monkeypatch.setattr(alloc, "solve_greedy", over_budget_greedy)
+    with pytest.raises(RuntimeError, match="exceeds the budget"):
+        solve_bnb(prob)
+
+
+def test_bnb_paper_scale_root_lps():
+    """The two n=747 seed-2024 problems of the bnb-747 benchmark workload.
+
+    The pivot counts pin the simplex's pivot rule: a change to that rule
+    updates them here.
+    """
+    cov = datagen.synth_covariates(747, 2024)
+    ds, gt = datagen.generate_dataset(cov, datagen.GenConfig(seed=2024))
+    cade = estimators.cade_matrix(estimators.oracle_estimator(gt), ds, 10)
+    for eps, pivots, bound in ((None, 816, 59.18265927317723), (0.25, 1102, 58.23984991872032)):
+        prob = make_problem(cade, budget=140.0, groups=ds.protected, eps_dt=eps, eps_do=eps)
+        report = solve_bnb(prob, node_limit=1)
+        assert report.stats == {"lp_calls": 1, "lp_pivots": pivots}
+        assert report.root_bound == pytest.approx(bound, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

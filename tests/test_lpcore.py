@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doseuplift import lpcore
+from doseuplift.alloc import make_problem, solve_bnb
+from doseuplift.estimators import CadeMatrix
 from doseuplift.lpcore import FEAS_TOL, LpError, LpProblem, constraint_violation, solve_lp
 
 from .oracles import simplex_oracle
@@ -374,3 +378,87 @@ def test_leaving_key_hands_over_to_a_basic_sibling():
     _, obj = simplex_oracle(p.objective, a_all, b_all)
     assert sol.objective == pytest.approx(obj + p.objective @ p.lower, abs=1e-9)
     assert constraint_violation(p, sol.x) <= FEAS_TOL
+
+
+# ---------------------------------------------------------------------------
+# state the simplex keeps between pivots
+# ---------------------------------------------------------------------------
+
+def _fresh_state(state, a):
+    """Key-reduced columns and objective, and entering signs, from scratch;
+    ``a`` holds the plain coupling rows over all columns."""
+    keys = state.key[state.sets]
+    basic = np.zeros(a.shape[1], dtype=bool)
+    basic[state.basis] = basic[state.key] = True
+    sign = np.where(basic | (state.lo >= state.hi), 0.0, np.where(state.at_upper, -1.0, 1.0))
+    return a - np.take(a, keys, axis=1), state.c - state.c[keys], sign
+
+
+@contextmanager
+def _checked_runs(bland: bool):
+    """Check the maintained state after every simplex run, optionally in
+    Bland mode from the first stalled pivot; yields coverage counts."""
+    seen = {"phase_one": 0, "structural_keys": 0}
+    real_init, real_run = lpcore._Simplex.__init__, lpcore._Simplex.run
+
+    def recording_init(self, a, ar, *args):
+        assert np.array_equal(ar[:, :a.shape[1]], a)
+        self.plain_rows = ar.copy()  # the start keys are all-zero columns
+        real_init(self, a, ar, *args)
+
+    def checked_run(self, max_iterations):
+        status = real_run(self, max_iterations)
+        ar, cr, sign = _fresh_state(self, self.plain_rows)
+        assert self.ar.flags.c_contiguous
+        assert np.array_equal(self.ar, ar)
+        assert np.array_equal(self.cr, cr)
+        assert np.array_equal(self.sign, sign)
+        # a state that runs twice ran Phase I first
+        self.checked_runs = getattr(self, "checked_runs", 0) + 1
+        seen["phase_one"] += self.checked_runs == 2
+        # set slacks are the only members with an infinite upper bound
+        seen["structural_keys"] += int(np.isfinite(self.hi[self.key[:-1]]).sum())
+        return status
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpcore._Simplex, "__init__", recording_init)
+        mp.setattr(lpcore._Simplex, "run", checked_run)
+        if bland:
+            mp.setattr(lpcore, "STALL_LIMIT", 1)
+        yield seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(_allocation_lps(), st.booleans())
+def test_maintained_state_matches_fresh_state_on_allocation_lps(p, bland):
+    with _checked_runs(bland):
+        solve_lp(p)
+
+
+@pytest.mark.parametrize("bland", [False, True])
+def test_maintained_state_through_key_handovers_phase_one_and_bnb(bland):
+    handover = LpProblem(
+        [1.0, 0.5, 0.1], [[2.0, 1.0, -1.0]], ["<="], [1.0], [0.0, 0.2, 0.0], [1.0, 1.0, 2.0],
+        sets=[0, 0, -1],
+    )
+    rng = np.random.default_rng(29)
+    with _checked_runs(bland) as seen:
+        assert solve_lp(handover).status == "optimal"
+        for p in (
+            _problem([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], ["<=", ">=", "="],
+                     [4.0, 1.0, 2.0], [0.0, 0.0], [10.0, 10.0]),
+            _problem([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], ["=", "="], [2.0, 2.0],
+                     [0.0, 0.0], [5.0, 5.0]),
+        ):
+            assert solve_lp(p).status == "optimal"
+        for _ in range(6):
+            n, delta = 6, 3
+            values = rng.uniform(-0.3, 0.9, size=(n, delta + 1))
+            values[:, 0] = 0.0
+            cade = CadeMatrix(values=values, doses=np.arange(delta + 1) / delta, provenance="estimated")
+            prob = make_problem(
+                cade, budget=float(rng.uniform(0.5, 3.0)), groups=np.arange(n) % 2,
+                eps_dt=0.25, eps_do=0.5,
+            )
+            assert solve_bnb(prob).status == "optimal"
+    assert seen["phase_one"] > 0 and seen["structural_keys"] > 0
