@@ -168,29 +168,46 @@ def make_problem(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Policy:
-    """Binary assignment matrix: exactly one dose per entity."""
+    """Exactly one dose per entity, held as int16 dose indices; ``matrix``,
+    the binary entity x dose assignment, is built on demand."""
 
-    matrix: np.ndarray
+    dose_indices: np.ndarray
+    n_doses: int
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
+    def __init__(self, matrix: np.ndarray):
+        m = np.asarray(matrix)
         if m.ndim != 2 or not np.all((m == 0) | (m == 1)):
             raise AllocError("policy entries must be binary")
         if not np.all(m.sum(axis=1) == 1):
             raise AllocError("each entity must receive exactly one dose")
-        object.__setattr__(self, "matrix", m.astype(np.int8))
+        self._hold(np.argmax(m, axis=1), m.shape[1])
+
+    def _hold(self, indices: np.ndarray, n_doses: int) -> None:
+        if n_doses > np.iinfo(np.int16).max + 1:
+            raise AllocError(f"at most 32768 doses, got {n_doses}")
+        indices = indices.astype(np.int16)
+        indices.flags.writeable = False
+        object.__setattr__(self, "dose_indices", indices)
+        object.__setattr__(self, "n_doses", int(n_doses))
 
     @classmethod
     def from_dose_indices(cls, indices: np.ndarray, n_doses: int) -> "Policy":
-        m = np.zeros((len(indices), n_doses), dtype=np.int8)
-        m[np.arange(len(indices)), indices] = 1
-        return cls(matrix=m)
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or not (idx.size == 0 or np.issubdtype(idx.dtype, np.integer)):
+            raise AllocError("dose indices must be a vector of integers")
+        if idx.size and (idx.min() < 0 or idx.max() >= n_doses):
+            raise AllocError(f"dose indices must lie in 0..{n_doses - 1}")
+        policy = cls.__new__(cls)
+        policy._hold(idx, n_doses)
+        return policy
 
     @property
-    def dose_indices(self) -> np.ndarray:
-        return np.argmax(self.matrix, axis=1)
+    def matrix(self) -> np.ndarray:
+        m = np.zeros((self.dose_indices.size, self.n_doses), dtype=np.int8)
+        m[np.arange(self.dose_indices.size), self.dose_indices] = 1
+        return m
 
     def doses(self, grid: np.ndarray) -> np.ndarray:
         return grid[self.dose_indices]
@@ -205,7 +222,8 @@ class SolveReport:
     root_bound: float | None
     best_bound: float | None
     wall_ms: float
-    # work counters (B&B: lp_calls, lp_pivots); kept out of csv_row and files
+    # work counters (B&B: lp_calls, lp_pivots, lp_inversions, lp_pricings);
+    # kept out of csv_row and files
     stats: dict[str, int] = field(default_factory=dict)
 
     def csv_row(self, costs: np.ndarray | None = None) -> list[str]:
@@ -485,8 +503,9 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
     its proven bound instead of failing. Before either is reported, the
     incumbent is re-checked against budget and fairness and the bound
     against the objective; a failed check raises ``RuntimeError``.
-    ``stats`` counts the node LPs (``lp_calls``) and their pivots
-    (``lp_pivots``).
+    ``stats`` counts the node LPs (``lp_calls``) and their pivots, basis
+    inversions and pricing passes (``lp_pivots``, ``lp_inversions``,
+    ``lp_pricings``).
     """
     t0 = time.perf_counter()
     n, delta = prob.n, prob.delta
@@ -502,7 +521,7 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
     heap: list[tuple[float, int, tuple]] = [(-np.inf, seq, ())]
     nodes = 0
     root_bound = None
-    stats = {"lp_calls": 0, "lp_pivots": 0}
+    stats = {"lp_calls": 0, "lp_pivots": 0, "lp_inversions": 0, "lp_pricings": 0}
 
     while heap:
         neg_bound, _, fixings = heapq.heappop(heap)
@@ -529,6 +548,8 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
         sol = solve_lp(base.with_bounds(lower, upper))
         stats["lp_calls"] += 1
         stats["lp_pivots"] += sol.iterations
+        stats["lp_inversions"] += sol.stats.get("inversions", 0)
+        stats["lp_pricings"] += sol.stats.get("pricings", 0)
         if sol.status == "infeasible":
             continue
         if sol.status != "optimal":

@@ -6,18 +6,20 @@ most 1, such as the one-dose-per-entity rows of the allocation LP. A set is
 never written as a row. It keeps one basic "key" variable that absorbs the
 set's equation (generalized upper bounds, Dantzig & Van Slyke 1967), so the
 working basis spans only the coupling rows. The allocation LP has at most
-five of those however many entities it has, so the small basis is inverted
-densely at every iteration. What is full-width is kept between iterations
-instead of rebuilt: every column minus its set's key column (refreshed for
-one set's members when that set's key changes), the same reduction of the
-objective, and a sign vector that folds bound status and eligibility into
-pricing, which is then one product and one argmax over all columns.
+five of those however many entities it has. What is full-width is kept
+between iterations instead of rebuilt: every column minus its set's key
+column (refreshed for one set's members when that set's key changes), the
+same reduction of the objective, a sign vector that folds bound status and
+eligibility into pricing, and the reduced costs. The small basis is
+inverted densely and the reduced costs recomputed only when a pivot changes
+what they depend on: a bound flip changes neither, and a key hand-over to
+the entering column changes only the reduced costs.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,9 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 # iterations without objective improvement before switching to Bland's rule
 STALL_LIMIT = 500
+
+# what a pivot leaves stale
+_NOTHING, _PRICES, _BASIS = 0, 1, 2
 
 LE, GE, EQ = "<=", ">=", "="
 _SENSES = (LE, GE, EQ)
@@ -119,6 +124,8 @@ class LpSolution:
     objective: float
     x: np.ndarray | None
     iterations: int
+    # work counters (inversions, pricings); empty when refused before any pivot
+    stats: dict[str, int] = field(default_factory=dict)
 
 
 class _Simplex:
@@ -133,9 +140,15 @@ class _Simplex:
     objective minus its set's key column. ``ar`` starts as the plain rows,
     taken over, not copied: every start key is a set slack, an all-zero
     column. A key change re-reduces its set's members from ``a``, the
-    problem's matrix. ``sign`` is +1 for a nonbasic variable at its lower
-    bound, -1 at its upper bound, and 0 for a basic or fixed one, so
-    ``d * sign`` is the gain of letting a column enter.
+    problem's matrix; ``by_set[set_start[s]:set_start[s + 1]]`` lists the
+    members of set s in column order, its slack last. ``sign`` is +1 for a
+    nonbasic variable at its lower bound, -1 at its upper bound, and 0 for a
+    basic or fixed one, so ``d * sign`` is the gain of letting a column
+    enter. ``b_inv`` (the inverse of ``ar[:, basis]``), the row prices
+    ``pi = cr[basis] @ b_inv`` and the reduced costs ``d = cr - pi @ ar``
+    are recomputed only when a pivot makes them stale, by the same
+    operations on the same inputs as a rebuild, so they match one bit for
+    bit.
     """
 
     def __init__(self, a, ar, sets, lo, hi, x, at_upper, basis, key):
@@ -148,7 +161,13 @@ class _Simplex:
         self.at_upper = at_upper
         self.basis = basis
         self.key = np.append(key, ar.shape[1] - 1)
+        self.by_set = np.argsort(sets, kind="stable")
+        self.set_start = np.searchsorted(sets[self.by_set], np.arange(len(key) + 1))
+        self.d = np.empty(ar.shape[1])
+        self.score = np.empty(ar.shape[1])
         self.iterations = 0
+        self.inversions = 0
+        self.pricings = 0
 
     def set_phase(self, c: np.ndarray) -> None:
         self.c = c
@@ -161,32 +180,42 @@ class _Simplex:
         self.sign[self.basis] = 0.0
         self.sign[self.key] = 0.0
 
-    def _working_basis(self):
-        """Inverse of the reduced basis and the reduced costs of every column."""
+    def stats(self) -> dict[str, int]:
+        return {"inversions": self.inversions, "pricings": self.pricings}
+
+    def _invert(self) -> None:
+        """Inverse of the working basis and the row prices."""
         try:
-            b_inv = np.linalg.inv(self.ar[:, self.basis])
+            self.b_inv = np.linalg.inv(self.ar[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("singular working basis; numerical failure") from exc
-        pi = self.cr[self.basis] @ b_inv
-        return b_inv, self.cr - pi @ self.ar
+        self.pi = self.cr[self.basis] @ self.b_inv
+        self.inversions += 1
 
-    def _entering(self, d: np.ndarray, bland: bool) -> int:
-        score = d * self.sign
+    def _price(self) -> None:
+        """Reduced costs of every column."""
+        np.matmul(self.pi, self.ar, out=self.d)
+        np.subtract(self.cr, self.d, out=self.d)
+        self.pricings += 1
+
+    def _entering(self, bland: bool) -> int:
+        score = np.multiply(self.d, self.sign, out=self.score)
         if bland:
             idx = np.flatnonzero(score > PIVOT_TOL)
             return int(idx[0]) if idx.size else -1
-        q = int(np.argmax(score))
+        q = int(score.argmax())
         return q if score[q] > PIVOT_TOL else -1
 
-    def _ratio_test(self, q: int, direction: float, b_inv: np.ndarray, bland: bool):
-        """Max step of q; returns (t, moved variables, their rates, blocking
-        position or -1 when q reaches its own other bound first).
+    def _ratio_test(self, q: int, direction: float, bland: bool):
+        """Max step of q; returns (t, moved variables as an index array, their
+        rates, blocking position or -1 when q reaches its own other bound first).
 
         Only the slot variables and the keys of the sets they or q belong to
-        move, at most 2 * rows + 1 variables, so plain lists beat arrays here.
+        move, at most 2 * rows + 1 variables, so plain lists beat arrays for
+        the per-variable work here.
         """
         s_q = int(self.sets[q])
-        alpha = b_inv @ self.ar[:, q]
+        alpha = self.b_inv @ self.ar[:, q]
         moved = self.basis.tolist()
         rate = (alpha * -direction).tolist()
         # a set's key absorbs what its other members gain
@@ -194,12 +223,13 @@ class _Simplex:
         for s, r in zip(self.sets[self.basis].tolist(), rate):
             if s >= 0:
                 key_rate[s] = key_rate.get(s, 0.0) - r
-        moved += self.key[list(key_rate)].tolist()
+        moved += map(self.key.item, key_rate)
         rate += key_rate.values()
 
+        at = np.array(moved, dtype=np.intp)
         limits = []
         for r, x, lo, hi in zip(
-            rate, self.x[moved].tolist(), self.lo[moved].tolist(), self.hi[moved].tolist()
+            rate, self.x[at].tolist(), self.lo[at].tolist(), self.hi[at].tolist()
         ):
             if r > PIVOT_TOL:
                 limits.append(max(hi - x, 0.0) / r)
@@ -210,40 +240,44 @@ class _Simplex:
         t_own = float(self.hi[q] - self.lo[q])
         t_rows = min(limits, default=np.inf)
         if t_own <= t_rows:
-            return t_own, moved, rate, -1
+            return t_own, at, rate, -1
         if t_rows == np.inf:
-            return np.inf, moved, rate, -1
+            return np.inf, at, rate, -1
         near = [i for i, lim in enumerate(limits) if lim <= t_rows + 1e-12]
         if bland:
             pos = min(near, key=moved.__getitem__)
         else:
             pos = max(near, key=lambda i: abs(rate[i]))
-        return max(t_rows, 0.0), moved, rate, pos
+        return max(t_rows, 0.0), at, rate, pos
 
-    def _exchange(self, q: int, leaving: int, pos: int) -> None:
-        """Basis change: q enters, the basic variable ``leaving`` exits."""
+    def _exchange(self, q: int, leaving: int, pos: int) -> int:
+        """Basis change: q enters, the basic variable ``leaving`` exits.
+        Returns what the change leaves stale: _BASIS or _PRICES."""
         self.sign[q] = 0.0
         if self.lo[leaving] < self.hi[leaving]:
             self.sign[leaving] = -1.0 if self.at_upper[leaving] else 1.0
         if pos < len(self.basis):
             self.basis[pos] = q
-            return
-        s = self.sets[leaving]
+            return _BASIS
+        s = int(self.sets[leaving])
         # a key leaves: a slot member of its set takes over, else q does
-        same = np.flatnonzero(self.sets[self.basis] == s)
-        if same.size:
-            slot = int(same[0])
+        slot_sets = self.sets[self.basis].tolist()
+        if s in slot_sets:
+            slot = slot_sets.index(s)
             self._set_key(s, self.basis[slot])
             self.basis[slot] = q
-        elif self.sets[q] == s:
+            return _BASIS
+        if self.sets[q] == s:
+            # no slot holds a member of s, so the working basis, its inverse
+            # and the row prices are unchanged
             self._set_key(s, q)
-        else:
-            raise RuntimeError("leaving key has no successor; numerical failure")
+            return _PRICES
+        raise RuntimeError("leaving key has no successor; numerical failure")
 
     def _set_key(self, s: int, k: int) -> None:
         """Make k the key of set s and re-reduce the set's member columns."""
         self.key[s] = k
-        members = np.flatnonzero(self.sets == s)
+        members = self.by_set[self.set_start[s]:self.set_start[s + 1]]
         # structural columns, then the set's slack, an all-zero column
         cols = np.zeros((self.ar.shape[0], members.size))
         cols[:, :-1] = self.a[:, members[:-1]]
@@ -255,33 +289,38 @@ class _Simplex:
         bland = False
         stall = 0
         last_obj = self.obj_val
+        stale = _BASIS  # each phase starts from its own objective
         while True:
-            b_inv, d = self._working_basis()
-            q = self._entering(d, bland)
+            if stale == _BASIS:
+                self._invert()
+            if stale != _NOTHING:
+                self._price()
+            q = self._entering(bland)
             if q < 0:
                 return "optimal"
             if self.iterations >= max_iterations:
                 return "iteration_limit"
             self.iterations += 1
             direction = -1.0 if self.at_upper[q] else 1.0
-            t, moved, rate, pos = self._ratio_test(q, direction, b_inv, bland)
+            t, moved, rate, pos = self._ratio_test(q, direction, bland)
             if t == np.inf:
                 return "unbounded"
             if t > 0.0:
                 self.x[moved] += np.multiply(rate, t)
                 self.x[q] += direction * t
-                self.obj_val += float(d[q] * direction * t)
+                self.obj_val += float(self.d[q] * direction * t)
             if pos < 0:
                 # entering variable moved across to its other bound
                 self.x[q] = self.lo[q] if self.at_upper[q] else self.hi[q]
                 self.at_upper[q] = not self.at_upper[q]
                 self.sign[q] = -self.sign[q]
+                stale = _NOTHING
             else:
                 leaving = moved[pos]
                 hit_upper = rate[pos] > 0
                 self.x[leaving] = self.hi[leaving] if hit_upper else self.lo[leaving]
                 self.at_upper[leaving] = bool(hit_upper)
-                self._exchange(q, leaving, pos)
+                stale = self._exchange(q, leaving, pos)
             if self.obj_val > last_obj + 1e-12:
                 last_obj = self.obj_val
                 stall = 0
@@ -351,11 +390,11 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
         state.set_phase(c1)
         status = state.run(max_iterations)
         if status == "iteration_limit":
-            return LpSolution("iteration_limit", float("nan"), None, state.iterations)
+            return LpSolution("iteration_limit", float("nan"), None, state.iterations, state.stats())
         if status == "unbounded":  # phase I is bounded above by zero
             raise RuntimeError("phase I reported unbounded; numerical failure")
         if state.x[first_art:-1].sum() > FEAS_TOL:
-            return LpSolution("infeasible", float("nan"), None, state.iterations)
+            return LpSolution("infeasible", float("nan"), None, state.iterations, state.stats())
         # freeze artificials at zero; basic ones leave at the first pivot
         # that moves them, and redundant rows keep theirs
         state.hi[first_art:-1] = 0.0
@@ -366,9 +405,9 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     state.set_phase(c2)
     status = state.run(max_iterations)
     if status == "unbounded":
-        return LpSolution("unbounded", float("inf"), None, state.iterations)
+        return LpSolution("unbounded", float("inf"), None, state.iterations, state.stats())
     if status == "iteration_limit":
-        return LpSolution("iteration_limit", float("nan"), None, state.iterations)
+        return LpSolution("iteration_limit", float("nan"), None, state.iterations, state.stats())
 
     x_out = state.x[:n]
     off_bounds = max(float(np.max(lower - x_out, initial=0.0)), float(np.max(x_out - upper, initial=0.0)))
@@ -378,7 +417,7 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     if worst > FEAS_TOL:
         raise RuntimeError(f"optimal point violates a row, set or bound by {worst:.3e}")
     objective = float(problem.objective @ x_out)
-    return LpSolution("optimal", objective, x_out, state.iterations)
+    return LpSolution("optimal", objective, x_out, state.iterations, state.stats())
 
 
 def constraint_violation(problem: LpProblem, x: np.ndarray) -> float:

@@ -144,6 +144,18 @@ def test_policy_rejects_multiple_doses_per_row():
         Policy(matrix=np.asarray([[1, 1, 0], [0, 1, 0]]))
 
 
+def test_policy_holds_compact_dose_indices_and_rejects_bad_ones():
+    m = np.asarray([[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 1]])
+    p = Policy(matrix=m)
+    assert np.array_equal(p.matrix, m) and p.matrix.dtype == np.int8
+    assert np.array_equal(p.dose_indices, [1, 0, 2, 2]) and p.dose_indices.nbytes <= 2 * len(m)
+    assert np.array_equal(p.doses(np.asarray([0.0, 0.5, 1.0])), [0.5, 0.0, 1.0, 1.0])
+    assert np.array_equal(Policy.from_dose_indices(np.asarray([1, 0, 2, 2]), 3).matrix, m)
+    for bad in ([-1, 0], [3], [0.5], [[1]]):
+        with pytest.raises(AllocError):
+            Policy.from_dose_indices(np.asarray(bad), 3)
+
+
 # ---------------------------------------------------------------------------
 # greedy
 # ---------------------------------------------------------------------------
@@ -512,18 +524,24 @@ def test_build_lp_keeps_one_dose_rows_implicit_at_paper_scale():
 
 def test_bnb_stats_count_node_lps_and_stay_out_of_the_csv_row(monkeypatch):
     prob = _random_problem(np.random.default_rng(13), n_max=6, delta_max=3, with_eps=True)
-    pivots = []
+    counts = []
     real_solve_lp = alloc.solve_lp
 
     def counted(lp):
         sol = real_solve_lp(lp)
-        pivots.append(sol.iterations)
+        work = sol.stats.get("inversions", 0), sol.stats.get("pricings", 0)
+        counts.append((sol.iterations, *work))
         return sol
 
     monkeypatch.setattr(alloc, "solve_lp", counted)
     report = solve_bnb(prob)
-    assert report.stats == {"lp_calls": len(pivots), "lp_pivots": sum(pivots)}
-    assert len(pivots) >= report.nodes >= 1
+    its, inversions, pricings = (sum(col) for col in zip(*counts))
+    assert report.stats == {
+        "lp_calls": len(counts), "lp_pivots": its, "lp_inversions": inversions, "lp_pricings": pricings
+    }
+    # each LP prices once per phase and after every pivot that is not a bound flip
+    assert inversions <= pricings <= its + 2 * len(counts)
+    assert len(counts) >= report.nodes >= 1
     assert len(report.csv_row(prob.costs)) == len(REPORT_CSV_HEADER)
     plain = _two_entity_problem(budget=1.0)
     assert solve_greedy(plain).stats == {} and solve_dp(plain).stats == {}
@@ -544,16 +562,22 @@ def test_bnb_certificate_refuses_an_over_budget_incumbent(monkeypatch):
 def test_bnb_paper_scale_root_lps():
     """The two n=747 seed-2024 problems of the bnb-747 benchmark workload.
 
-    The pivot counts pin the simplex's pivot rule: a change to that rule
-    updates them here.
+    The pivot counts pin the simplex's pivot rule, and the inversion and
+    pricing counts what it recomputes per pivot: a change to either updates
+    them here.
     """
     cov = datagen.synth_covariates(747, 2024)
     ds, gt = datagen.generate_dataset(cov, datagen.GenConfig(seed=2024))
     cade = estimators.cade_matrix(estimators.oracle_estimator(gt), ds, 10)
-    for eps, pivots, bound in ((None, 816, 59.18265927317723), (0.25, 1102, 58.23984991872032)):
+    for eps, pivots, inversions, pricings, bound in (
+        (None, 816, 71, 426, 59.18265927317723),
+        (0.25, 1102, 392, 901, 58.23984991872032),
+    ):
         prob = make_problem(cade, budget=140.0, groups=ds.protected, eps_dt=eps, eps_do=eps)
         report = solve_bnb(prob, node_limit=1)
-        assert report.stats == {"lp_calls": 1, "lp_pivots": pivots}
+        assert report.stats == {
+            "lp_calls": 1, "lp_pivots": pivots, "lp_inversions": inversions, "lp_pricings": pricings
+        }
         assert report.root_bound == pytest.approx(bound, abs=1e-9)
 
 

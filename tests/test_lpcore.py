@@ -394,20 +394,42 @@ def _fresh_state(state, a):
     return a - np.take(a, keys, axis=1), state.c - state.c[keys], sign
 
 
+def _assert_fresh_prices(state):
+    """The basis inverse, row prices and reduced costs in use equal a rebuild."""
+    b_inv = np.linalg.inv(state.ar[:, state.basis])
+    pi = state.cr[state.basis] @ b_inv
+    assert np.array_equal(state.b_inv, b_inv)
+    assert np.array_equal(state.pi, pi)
+    assert np.array_equal(state.d, state.cr - pi @ state.ar)
+
+
 @contextmanager
 def _checked_runs(bland: bool):
-    """Check the maintained state after every simplex run, optionally in
-    Bland mode from the first stalled pivot; yields coverage counts."""
-    seen = {"phase_one": 0, "structural_keys": 0}
+    """Check the maintained state after every simplex run and the cached
+    prices at every pivot, optionally in Bland mode from the first stalled
+    pivot; yields coverage counts."""
+    seen = {"phase_one": 0, "structural_keys": 0, "reprice_only": 0}
     real_init, real_run = lpcore._Simplex.__init__, lpcore._Simplex.run
+    real_entering, real_ratio_test = lpcore._Simplex._entering, lpcore._Simplex._ratio_test
 
     def recording_init(self, a, ar, *args):
         assert np.array_equal(ar[:, :a.shape[1]], a)
         self.plain_rows = ar.copy()  # the start keys are all-zero columns
         real_init(self, a, ar, *args)
 
+    def checked_entering(self, *args):
+        _assert_fresh_prices(self)
+        return real_entering(self, *args)
+
+    def checked_ratio_test(self, *args):
+        _assert_fresh_prices(self)
+        return real_ratio_test(self, *args)
+
     def checked_run(self, max_iterations):
+        reprice_only = self.pricings - self.inversions
         status = real_run(self, max_iterations)
+        # every pricing without an inversion followed a key hand-over to q
+        seen["reprice_only"] += self.pricings - self.inversions - reprice_only
         ar, cr, sign = _fresh_state(self, self.plain_rows)
         assert self.ar.flags.c_contiguous
         assert np.array_equal(self.ar, ar)
@@ -423,6 +445,8 @@ def _checked_runs(bland: bool):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpcore._Simplex, "__init__", recording_init)
         mp.setattr(lpcore._Simplex, "run", checked_run)
+        mp.setattr(lpcore._Simplex, "_entering", checked_entering)
+        mp.setattr(lpcore._Simplex, "_ratio_test", checked_ratio_test)
         if bland:
             mp.setattr(lpcore, "STALL_LIMIT", 1)
         yield seen
@@ -461,4 +485,4 @@ def test_maintained_state_through_key_handovers_phase_one_and_bnb(bland):
                 eps_dt=0.25, eps_do=0.5,
             )
             assert solve_bnb(prob).status == "optimal"
-    assert seen["phase_one"] > 0 and seen["structural_keys"] > 0
+    assert seen["phase_one"] > 0 and seen["structural_keys"] > 0 and seen["reprice_only"] > 0
