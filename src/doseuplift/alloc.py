@@ -168,7 +168,7 @@ def make_problem(
     )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Policy:
     """Exactly one dose per entity, held as int16 dose indices; ``matrix``,
     the binary entity x dose assignment, is built on demand."""
@@ -176,41 +176,36 @@ class Policy:
     dose_indices: np.ndarray
     n_doses: int
 
-    def __init__(self, matrix: np.ndarray):
-        m = np.asarray(matrix)
-        if m.ndim != 2 or not np.all((m == 0) | (m == 1)):
-            raise AllocError("policy entries must be binary")
-        if not np.all(m.sum(axis=1) == 1):
-            raise AllocError("each entity must receive exactly one dose")
-        self._hold(np.argmax(m, axis=1), m.shape[1])
-
-    def _hold(self, indices: np.ndarray, n_doses: int) -> None:
-        if n_doses > np.iinfo(np.int16).max + 1:
-            raise AllocError(f"at most 32768 doses, got {n_doses}")
-        indices = indices.astype(np.int16)
-        indices.flags.writeable = False
-        object.__setattr__(self, "dose_indices", indices)
-        object.__setattr__(self, "n_doses", int(n_doses))
-
-    @classmethod
-    def from_dose_indices(cls, indices: np.ndarray, n_doses: int) -> "Policy":
-        idx = np.asarray(indices)
+    def __post_init__(self):
+        idx = np.asarray(self.dose_indices)
         if idx.ndim != 1 or not (idx.size == 0 or np.issubdtype(idx.dtype, np.integer)):
             raise AllocError("dose indices must be a vector of integers")
-        if idx.size and (idx.min() < 0 or idx.max() >= n_doses):
-            raise AllocError(f"dose indices must lie in 0..{n_doses - 1}")
-        policy = cls.__new__(cls)
-        policy._hold(idx, n_doses)
-        return policy
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n_doses):
+            raise AllocError(f"dose indices must lie in 0..{self.n_doses - 1}")
+        if self.n_doses > np.iinfo(np.int16).max + 1:
+            raise AllocError(f"at most 32768 doses, got {self.n_doses}")
+        idx = idx.astype(np.int16)
+        idx.flags.writeable = False
+        object.__setattr__(self, "dose_indices", idx)
+        object.__setattr__(self, "n_doses", int(self.n_doses))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The (entities, doses) shape of ``matrix`` and of the tables it picks from."""
+        return self.dose_indices.size, self.n_doses
 
     @property
     def matrix(self) -> np.ndarray:
-        m = np.zeros((self.dose_indices.size, self.n_doses), dtype=np.int8)
+        m = np.zeros(self.shape, dtype=np.int8)
         m[np.arange(self.dose_indices.size), self.dose_indices] = 1
         return m
 
     def doses(self, grid: np.ndarray) -> np.ndarray:
         return grid[self.dose_indices]
+
+    def picked(self, table: np.ndarray) -> np.ndarray:
+        """Each entity's entry of an (entities, doses) ``table`` at its dose."""
+        return table[np.arange(self.dose_indices.size), self.dose_indices]
 
 
 @dataclass(frozen=True)
@@ -244,27 +239,26 @@ REPORT_CSV_HEADER = ["status", "objective", "cost", "nodes", "bound", "wall_ms"]
 def policy_cost(policy: Policy, costs: np.ndarray) -> float:
     """Total cost of the assigned doses."""
     costs = np.asarray(costs, dtype=float)
-    if costs.shape != policy.matrix.shape:
+    if costs.shape != policy.shape:
         raise AllocError("cost matrix shape does not match the policy")
     return float(np.sum(policy.matrix * costs))
 
 
 def policy_value(policy: Policy, cade: CadeMatrix, benefits: np.ndarray | None = None) -> float:
     """Benefit-weighted sum of the dose effects picked by the policy."""
-    if cade.values.shape != policy.matrix.shape:
+    if cade.values.shape != policy.shape:
         raise AllocError("dose-effect matrix shape does not match the policy")
     if benefits is None:
         benefits = np.ones(cade.n)
     benefits = np.asarray(benefits, dtype=float)
     if benefits.shape != (cade.n,):
         raise AllocError("benefit vector shape does not match the policy")
-    per_entity = np.sum(policy.matrix * cade.values, axis=1) * benefits
-    return float(per_entity.sum())
+    return float((policy.picked(cade.values) * benefits).sum())
 
 
 def group_means(policy: Policy, weights: np.ndarray, groups: np.ndarray) -> tuple[float, float]:
     """Per-group means of the policy-selected entries of ``weights``."""
-    picked = np.sum(policy.matrix * weights, axis=1)
+    picked = policy.picked(weights)
     return float(picked[groups == 0].mean()), float(picked[groups == 1].mean())
 
 
@@ -321,7 +315,7 @@ def solve_greedy(prob: AllocationProblem) -> SolveReport:
         if c <= remaining + BUDGET_TOL:
             assign[i] = d
             remaining -= c
-    policy = Policy.from_dose_indices(assign, prob.delta + 1)
+    policy = Policy(assign, prob.delta + 1)
     objective = policy_value(policy, prob.cade, prob.benefits)
     return _finish("heuristic", objective, policy, 0, None, None, t0)
 
@@ -399,7 +393,7 @@ def solve_dp_sweep(prob: AllocationProblem, budgets) -> list[SolveReport]:
             d = int(choice[i, w])
             assign[i] = d
             w -= int(int_costs[i, d])
-        policy = Policy.from_dose_indices(assign, prob.delta + 1)
+        policy = Policy(assign, prob.delta + 1)
         objective = policy_value(policy, prob.cade, prob.benefits)
         reports.append(_finish("optimal", objective, policy, 0, None, objective, t_report))
     return reports
@@ -474,21 +468,23 @@ def _policy_from_lp_x(x: np.ndarray, n: int, delta: int) -> Policy:
     mat = x.reshape(n, delta)
     best = np.argmax(mat, axis=1)
     assign = np.where(mat[np.arange(n), best] > 0.5, best + 1, 0)
-    return Policy.from_dose_indices(assign, delta + 1)
+    return Policy(assign, delta + 1)
 
 
-def _policy_feasible(prob: AllocationProblem, policy: Policy) -> bool:
+def _infeasibility(prob: AllocationProblem, policy: Policy) -> str | None:
+    """How ``policy`` fails ``prob`` (budget first, then fairness), or None when it is feasible."""
     if policy_cost(policy, prob.costs) > prob.budget + BUDGET_TOL:
-        return False
-    return fairness_violation(prob, policy) <= FAIRNESS_TOL
+        return "exceeds the budget"
+    if fairness_violation(prob, policy) > FAIRNESS_TOL:
+        return "violates a fairness bound"
+    return None
 
 
 def _certify(prob: AllocationProblem, policy: Policy, objective: float, best_bound: float) -> None:
     """Re-check a B&B result with arithmetic that does not go through the LP."""
-    if policy_cost(policy, prob.costs) > prob.budget + BUDGET_TOL:
-        raise RuntimeError("certificate failed: the incumbent exceeds the budget")
-    if fairness_violation(prob, policy) > FAIRNESS_TOL:
-        raise RuntimeError("certificate failed: the incumbent violates a fairness bound")
+    failed = _infeasibility(prob, policy)
+    if failed is not None:
+        raise RuntimeError(f"certificate failed: the incumbent {failed}")
     if not best_bound >= objective:
         raise RuntimeError("certificate failed: the bound is below the objective")
 
@@ -512,7 +508,7 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
     base = _build_lp(prob)
 
     if prob.active_fairness():
-        incumbent = Policy.from_dose_indices(np.zeros(n, dtype=int), delta + 1)
+        incumbent = Policy(np.zeros(n, dtype=int), delta + 1)
     else:
         incumbent = solve_greedy(prob).policy
     inc_obj = policy_value(incumbent, prob.cade, prob.benefits)
@@ -562,7 +558,8 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
         # rounding the LP point often yields a feasible policy; a better
         # incumbent prunes siblings long before the tree closes by itself
         candidate = _policy_from_lp_x(sol.x, n, delta)
-        if _policy_feasible(prob, candidate):
+        feasible = _infeasibility(prob, candidate) is None
+        if feasible:
             cand_obj = policy_value(candidate, prob.cade, prob.benefits)
             if cand_obj > inc_obj + 1e-12:
                 incumbent, inc_obj = candidate, cand_obj
@@ -571,7 +568,7 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
         frac[upper - lower <= 0] = 0.0
         max_frac = float(frac.max(initial=0.0))
         if max_frac <= INT_TOL:
-            if _policy_feasible(prob, candidate):
+            if feasible:
                 continue  # node solved exactly by its integral LP optimum
             if max_frac <= 1e-12:
                 raise RuntimeError("integral LP point fails exact feasibility")

@@ -64,11 +64,6 @@ class FeatureScaling:
             col_max=tuple(float(v) for v in features[:, cols].max(axis=0)),
         )
 
-    @classmethod
-    def identity(cls) -> "FeatureScaling":
-        n = len(CONTINUOUS_COLS)
-        return cls(col_min=(0.0,) * n, col_max=(1.0,) * n)
-
     def unit_features(self, x_mat: np.ndarray) -> np.ndarray:
         """Map rows into formula space; rows off the fitted range extrapolate."""
         u = np.array(x_mat, dtype=float, copy=True)
@@ -170,19 +165,18 @@ class GroundTruth:
     gamma_scale: float
     protected_feature: int
     scaling: FeatureScaling
-    y_min: float | None = None
-    y_max: float | None = None
+    y_min: float
+    y_max: float
     dose_guard_count: int = 0
     outcome_guard_count: int = 0
 
     def __post_init__(self):
-        if self.y_min is not None and self.y_max is not None:
-            if not self.y_max > self.y_min:
-                raise GenerationError("y_max must exceed y_min")
-
-    @property
-    def frozen(self) -> bool:
-        return self.y_min is not None and self.y_max is not None
+        for name in ("y_min", "y_max"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, float)) or not np.isfinite(v):
+                raise GenerationError(f"{name} must be a finite number, got {v!r}")
+        if not self.y_max > self.y_min:
+            raise GenerationError("y_max must exceed y_min")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -217,8 +211,8 @@ class GroundTruth:
             scaling=FeatureScaling(
                 col_min=tuple(obj["scaling_min"]), col_max=tuple(obj["scaling_max"])
             ),
-            y_min=obj["y_min"],
-            y_max=obj["y_max"],
+            y_min=obj.get("y_min"),
+            y_max=obj.get("y_max"),
             dose_guard_count=obj.get("dose_guard_count", 0),
             outcome_guard_count=obj.get("outcome_guard_count", 0),
         )
@@ -289,38 +283,6 @@ def empirical_constants(cov: CovariateTable) -> tuple[float, float]:
     return c1, c2
 
 
-def assign_dose(
-    x: np.ndarray, noise: float, c2: float, scaling: FeatureScaling | None = None
-) -> float:
-    """Dose for one covariate row given a realized noise draw.
-
-    The caller samples ``noise`` from N(0, treatment_noise_variance). With
-    ``scaling=None`` the row is taken to be in formula space already.
-    """
-    scaling = scaling or FeatureScaling.identity()
-    u = scaling.unit_features(np.asarray(x, dtype=float).reshape(1, N_FEATURES))
-    score, _ = _dose_score(u, c2)
-    return float(_squash_dose(score + noise)[0])
-
-
-def gen_outcome(
-    x: np.ndarray, s: float, a: int, gt: GroundTruth, noise: float
-) -> tuple[float, float]:
-    """One (raw, normalized) outcome draw at dose ``s`` for covariates ``x``.
-
-    Requires a frozen ground truth: the normalized outcome uses the dataset-level
-    min/max of the generating sample.
-    """
-    if not gt.frozen:
-        raise GenerationError("ground truth is not frozen (y_min/y_max unset)")
-    u = gt.scaling.unit_features(np.asarray(x, dtype=float).reshape(1, N_FEATURES))
-    base, _ = _outcome_base(u, np.asarray([s]), gt.c1, pairwise=False)
-    raw = float(base[0, 0]) * float(_group_factor(gt.gamma, gt.gamma_scale, np.asarray([a]))[0])
-    raw += noise
-    y = (raw - gt.y_min) / (gt.y_max - gt.y_min)
-    return raw, float(np.clip(y, 0.0, 1.0))
-
-
 def generate_dataset(cov: CovariateTable, cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
     """Draw doses and outcomes for every covariate row; freeze the ground truth.
 
@@ -372,8 +334,6 @@ def true_cadr_grid(gt: GroundTruth, doses: np.ndarray, x_mat: np.ndarray) -> np.
     The protected value of each row is read from its own protected column.
     Returns an (n_rows, n_doses) matrix in [0, 1].
     """
-    if not gt.frozen:
-        raise GenerationError("ground truth is not frozen (y_min/y_max unset)")
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
     doses = np.atleast_1d(np.asarray(doses, dtype=float))
     u_mat = gt.scaling.unit_features(x_mat)

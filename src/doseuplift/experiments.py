@@ -177,18 +177,23 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256("\n".join(config_lines(cfg)).encode()).hexdigest()[:16]
 
 
-def write_sidecar(csv_path: Path, cfg: ExperimentConfig, extra: dict | None = None) -> None:
-    lines = [f"config_hash = {config_hash(cfg)}"] + config_lines(cfg)
-    for k, v in (extra or {}).items():
-        lines.append(f"{k} = {v}")
-    Path(str(csv_path) + ".meta").write_text("\n".join(lines) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_table(
+    out_dir: str | Path, name: str, header: list[str], rows: list[list[str]],
+    cfg: ExperimentConfig, extra: dict,
+) -> Path:
+    """Write ``out_dir/name`` and its ``.meta`` sidecar (config hash, every
+    config line, then ``extra``); return the CSV path."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    lines = [f"config_hash = {config_hash(cfg)}"] + config_lines(cfg)
+    lines += [f"{k} = {v}" for k, v in extra.items()]
+    Path(str(path) + ".meta").write_text("\n".join(lines) + "\n")
+    return path
 
 
 def _fmt(v: float) -> str:
@@ -285,8 +290,6 @@ def run_exp1(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     estimator is divided by the same method's full-information curve, so the
     oracle row reads 1.0 in every column by construction.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ds, gt = dataset_from_config(cfg)
     true_cade = cade_matrix(oracle_estimator(gt), ds, cfg.delta)
     grid = _area_grid(cfg)
@@ -323,10 +326,10 @@ def run_exp1(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     for cap in cfg.auuc_caps:
         for solver in ("greedy", "exact"):
             header.append(f"auuc_{cap:g}_{solver}")
-    path = out_dir / "exp1_results.csv"
-    _write_csv(path, header, rows)
-    write_sidecar(path, cfg, {"area_grid": ",".join(str(b) for b in grid)})
-    return path
+    return _write_table(
+        out_dir, "exp1_results.csv", header, rows, cfg,
+        {"area_grid": ",".join(str(b) for b in grid)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +346,6 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     when both slacks disable their pairs, one branch-and-bound per budget
     otherwise.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for gamma in cfg.gammas:
         gcfg = replace(cfg, gamma=gamma)
@@ -393,9 +394,9 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
                         _fmt(np.mean(normed)),
                     ]
                 )
-        path = out_dir / f"exp2_gamma_{gamma:g}.csv"
-        _write_csv(
-            path,
+        path = _write_table(
+            out_dir,
+            f"exp2_gamma_{gamma:g}.csv",
             [
                 "eps_dt",
                 "eps_do",
@@ -408,8 +409,9 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
                 "objective",
             ],
             rows,
+            gcfg,
+            {"estimator_used": cfg.estimator},
         )
-        write_sidecar(path, gcfg, {"estimator_used": cfg.estimator})
         paths.append(path)
     return paths
 
@@ -420,8 +422,6 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
 
 def run_exp3(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     """Uplift-optimal versus value-optimal policies across the budget grid."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ds, gt = dataset_from_config(cfg)
     true_cade = cade_matrix(oracle_estimator(gt), ds, cfg.delta)
     est = build_estimator(cfg.estimator, cfg, ds, gt)
@@ -436,8 +436,8 @@ def run_exp3(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     )
     rows = []
     for b, rep_u, rep_v in zip(cfg.budgets, uplift_opt, value_opt):
-        gains_u = np.sum(rep_u.policy.matrix * true_cade.values, axis=1)
-        gains_v = np.sum(rep_v.policy.matrix * true_cade.values, axis=1)
+        gains_u = rep_u.policy.picked(true_cade.values)
+        gains_v = rep_v.policy.picked(true_cade.values)
         rows.append(
             [
                 _fmt(b),
@@ -447,14 +447,14 @@ def run_exp3(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
                 _fmt(float(gains_v @ benefits)),
             ]
         )
-    path = Path(out_dir) / "exp3_results.csv"
-    _write_csv(
-        path,
+    return _write_table(
+        out_dir,
+        "exp3_results.csv",
         ["budget", "u_of_u_opt", "v_of_u_opt", "u_of_v_opt", "v_of_v_opt"],
         rows,
+        cfg,
+        {"benefit_spec": cfg.benefits},
     )
-    write_sidecar(path, cfg, {"benefit_spec": cfg.benefits})
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +485,6 @@ def run_scalability(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     The budget scales with the oversampling factor. The exact branch-and-bound
     runs only up to ``exact_max_factor``; the heuristic runs everywhere.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base_cov = dataset_from_config(cfg)[0].covariates
     rows = []
     for factor in cfg.factors:
@@ -514,9 +512,9 @@ def run_scalability(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
         else:
             row += ["skipped", "", "", "", ""]
         rows.append(row)
-    path = out_dir / "scalability_results.csv"
-    _write_csv(
-        path,
+    return _write_table(
+        out_dir,
+        "scalability_results.csv",
         [
             "factor",
             "n",
@@ -529,9 +527,9 @@ def run_scalability(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
             "exact_bound",
         ],
         rows,
+        cfg,
+        {"factors": ",".join(str(f) for f in cfg.factors)},
     )
-    write_sidecar(path, cfg, {"factors": ",".join(str(f) for f in cfg.factors)})
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +538,10 @@ def run_scalability(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
 
 def run_delta_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     """Prescribed value and solve time at one budget across grid granularities."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ds, gt = dataset_from_config(cfg)
+    est = build_estimator(cfg.estimator, cfg, ds, gt)  # the fit does not depend on delta
     rows = []
     for delta in cfg.sweep_deltas:
-        est = build_estimator(cfg.estimator, cfg, ds, gt)
         est_cade = cade_matrix(est, ds, delta)
         true_cade = cade_matrix(oracle_estimator(gt), ds, delta)
         prob = make_problem(est_cade, budget=cfg.sweep_budget, groups=ds.protected)
@@ -554,7 +550,7 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
         wall_ms = (time.perf_counter() - t0) * 1e3
         presc = float(np.sum(report.policy.matrix * true_cade.values))
         rows.append([str(delta), _fmt(presc), _fmt(wall_ms)])
-    path = out_dir / "delta_sweep_results.csv"
-    _write_csv(path, ["delta", "u_presc", "wall_ms"], rows)
-    write_sidecar(path, cfg, {"deltas": ",".join(str(d) for d in cfg.sweep_deltas)})
-    return path
+    return _write_table(
+        out_dir, "delta_sweep_results.csv", ["delta", "u_presc", "wall_ms"], rows, cfg,
+        {"deltas": ",".join(str(d) for d in cfg.sweep_deltas)},
+    )

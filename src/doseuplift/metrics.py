@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -56,14 +54,6 @@ class FairnessReport:
     mean_dose_g1: float
     mean_gain_g0: float
     mean_gain_g1: float
-
-    @property
-    def dose_ratio(self) -> float:
-        return self.mean_dose_g0 / self.mean_dose_g1 if self.mean_dose_g1 != 0 else float("nan")
-
-    @property
-    def gain_ratio(self) -> float:
-        return self.mean_gain_g0 / self.mean_gain_g1 if self.mean_gain_g1 != 0 else float("nan")
 
 
 def regret(v_opt: float, v_presc: float) -> float:
@@ -128,7 +118,7 @@ def auuc(curve: ValueCurve, optimal_curve: ValueCurve) -> float:
 def fairness_report(policy: Policy, cade: CadeMatrix, groups: np.ndarray) -> FairnessReport:
     """Mean assigned dose and mean selected dose effect per protected group."""
     groups = np.asarray(groups, dtype=int)
-    if policy.matrix.shape != cade.values.shape:
+    if policy.shape != cade.values.shape:
         raise MetricError("policy and dose-effect matrix shapes differ")
     if not (np.any(groups == 0) and np.any(groups == 1)):
         raise MetricError("both protected groups must be non-empty")
@@ -137,31 +127,3 @@ def fairness_report(policy: Policy, cade: CadeMatrix, groups: np.ndarray) -> Fai
     return FairnessReport(
         mean_dose_g0=dose_g0, mean_dose_g1=dose_g1, mean_gain_g0=gain_g0, mean_gain_g1=gain_g1
     )
-
-
-CURVE_CSV_HEADER = ["budget", "value_exp", "value_presc", "value_opt"]
-
-
-def save_curves_csv(
-    path: str | Path,
-    budgets: np.ndarray,
-    expected: ValueCurve,
-    prescribed: ValueCurve,
-    optimal: ValueCurve,
-) -> None:
-    """Write the three standard curves over a shared budget grid."""
-    for c in (expected, prescribed, optimal):
-        if not np.array_equal(c.budgets, np.asarray(budgets, dtype=float)):
-            raise MetricError("curve grids must match the given budgets")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_CSV_HEADER)
-        for i, b in enumerate(budgets):
-            writer.writerow(
-                [
-                    repr(float(b)),
-                    repr(float(expected.values[i])),
-                    repr(float(prescribed.values[i])),
-                    repr(float(optimal.values[i])),
-                ]
-            )

@@ -169,6 +169,6 @@ def brute_force(prob):
     wall_ms = (time.perf_counter() - t0) * 1e3
     if best_combo is None:
         return SolveReport("infeasible", float("nan"), None, combos, None, None, wall_ms)
-    policy = Policy.from_dose_indices(best_combo, n_doses)
+    policy = Policy(best_combo, n_doses)
     objective = policy_value(policy, prob.cade, prob.benefits)
     return SolveReport("optimal", objective, policy, combos, None, objective, wall_ms)

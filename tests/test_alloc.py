@@ -95,25 +95,25 @@ def _assert_policy_contract(prob, report):
 
 def test_policy_cost_zero_for_all_dose_zero():
     prob = _two_entity_problem(budget=1.0)
-    p = Policy.from_dose_indices(np.asarray([0, 0]), 3)
+    p = Policy(np.asarray([0, 0]), 3)
     assert policy_cost(p, prob.costs) == 0.0
 
 
 def test_policy_cost_proportional_arithmetic():
     prob = _two_entity_problem(budget=2.0)
-    p = Policy.from_dose_indices(np.asarray([1, 2]), 3)  # doses 0.5, 1.0
+    p = Policy(np.asarray([1, 2]), 3)  # doses 0.5, 1.0
     assert policy_cost(p, prob.costs) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_policy_value_zero_for_all_dose_zero():
     prob = _two_entity_problem(budget=1.0)
-    p = Policy.from_dose_indices(np.asarray([0, 0]), 3)
+    p = Policy(np.asarray([0, 0]), 3)
     assert policy_value(p, prob.cade, prob.benefits) == 0.0
 
 
 def test_policy_value_linear_in_benefits():
     prob = _two_entity_problem(budget=2.0)
-    p = Policy.from_dose_indices(np.asarray([1, 2]), 3)
+    p = Policy(np.asarray([1, 2]), 3)
     v1 = policy_value(p, prob.cade, np.ones(2))
     v2 = policy_value(p, prob.cade, 2.0 * np.ones(2))
     assert v2 == pytest.approx(2.0 * v1, abs=1e-12)
@@ -124,7 +124,7 @@ def test_policy_aggregates_match_double_loop_oracle():
     for _ in range(20):
         prob = _random_problem(rng, proportional=False)
         idx = rng.integers(0, prob.delta + 1, size=prob.n)
-        p = Policy.from_dose_indices(idx, prob.delta + 1)
+        p = Policy(idx, prob.delta + 1)
         cost_oracle = sum(
             float(p.matrix[i, d]) * float(prob.costs[i, d])
             for i in range(prob.n)
@@ -139,21 +139,21 @@ def test_policy_aggregates_match_double_loop_oracle():
         assert policy_value(p, prob.cade, prob.benefits) == pytest.approx(value_oracle, abs=1e-12)
 
 
-def test_policy_rejects_multiple_doses_per_row():
-    with pytest.raises(AllocError):
-        Policy(matrix=np.asarray([[1, 1, 0], [0, 1, 0]]))
-
-
 def test_policy_holds_compact_dose_indices_and_rejects_bad_ones():
     m = np.asarray([[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 1]])
-    p = Policy(matrix=m)
+    p = Policy([1, 0, 2, 2], 3)
     assert np.array_equal(p.matrix, m) and p.matrix.dtype == np.int8
+    assert p.shape == m.shape
     assert np.array_equal(p.dose_indices, [1, 0, 2, 2]) and p.dose_indices.nbytes <= 2 * len(m)
+    assert not p.dose_indices.flags.writeable
     assert np.array_equal(p.doses(np.asarray([0.0, 0.5, 1.0])), [0.5, 0.0, 1.0, 1.0])
-    assert np.array_equal(Policy.from_dose_indices(np.asarray([1, 0, 2, 2]), 3).matrix, m)
+    table = np.arange(12.0).reshape(4, 3)
+    assert np.array_equal(p.picked(table), np.sum(m * table, axis=1))
     for bad in ([-1, 0], [3], [0.5], [[1]]):
         with pytest.raises(AllocError):
-            Policy.from_dose_indices(np.asarray(bad), 3)
+            Policy(np.asarray(bad), 3)
+    with pytest.raises(AllocError, match="32768"):
+        Policy([0], 40_000)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +549,7 @@ def test_bnb_stats_count_node_lps_and_stay_out_of_the_csv_row(monkeypatch):
 
 def test_bnb_certificate_refuses_an_over_budget_incumbent(monkeypatch):
     prob = _two_entity_problem(budget=0.5)  # the best feasible policy is worth 0.4
-    over = Policy.from_dose_indices(np.asarray([1, 2]), 3)  # cost 1.5, worth 0.9
+    over = Policy(np.asarray([1, 2]), 3)  # cost 1.5, worth 0.9
 
     def over_budget_greedy(p):
         return replace(solve_greedy(p), objective=0.9, policy=over)

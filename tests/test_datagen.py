@@ -1,5 +1,6 @@
 """Tests for the semi-synthetic data generator and its ground-truth queries."""
 
+import json
 import math
 
 import numpy as np
@@ -16,9 +17,11 @@ from doseuplift.datagen import (
     GenConfig,
     GenerationError,
     GroundTruth,
-    assign_dose,
+    _dose_score,
+    _group_factor,
+    _outcome_base,
+    _squash_dose,
     dose_grid,
-    gen_outcome,
     generate_dataset,
     load_covariates,
     load_dataset,
@@ -47,11 +50,25 @@ def _oracle_effects(gt, features, delta):
 
 
 def _frozen_gt(c1=0.5, c2=0.5, gamma=0.0, gamma_scale=0.1, y_min=-3.0, y_max=3.0):
+    # identity scaling: rows are read as formula-space inputs
+    n = len(CONTINUOUS_COLS)
     return GroundTruth(
         c1=c1, c2=c2, gamma=gamma, gamma_scale=gamma_scale,
-        protected_feature=7, scaling=FeatureScaling.identity(),
+        protected_feature=7, scaling=FeatureScaling(col_min=(0.0,) * n, col_max=(1.0,) * n),
         y_min=y_min, y_max=y_max,
     )
+
+
+def _dose(x, noise, c2):
+    """Dose of one formula-space row given its noise draw, as generate_dataset draws it."""
+    score, _ = _dose_score(np.atleast_2d(x), c2)
+    return float(_squash_dose(score + noise)[0])
+
+
+def _raw_outcome(x, s, a, gt):
+    """Noiseless raw outcome of one formula-space row, as generate_dataset composes it."""
+    base, _ = _outcome_base(np.atleast_2d(x), np.asarray([s]), gt.c1, pairwise=True)
+    return float(base[0] * _group_factor(gt.gamma, gt.gamma_scale, np.asarray([a]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +178,13 @@ def test_assign_dose_logistic_midpoint():
     c2 = 0.5
     # pick noise to cancel the deterministic score
     score = 0.3 / 1.3 + 0.3 / 0.5 + math.tanh(2.5) - 2.0
-    assert assign_dose(x, noise=-score, c2=c2) == pytest.approx(0.5, abs=1e-12)
+    assert _dose(x, noise=-score, c2=c2) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_assign_dose_saturates():
     x = _fixed_row()
     score = 0.3 / 1.3 + 0.3 / 0.5 + math.tanh(2.5) - 2.0
-    s = assign_dose(x, noise=20.0 - score, c2=0.5)
+    s = _dose(x, noise=20.0 - score, c2=0.5)
     assert abs(s - 1.0) < 1e-8
     assert s < 1.0  # strictly inside (0, 1)
 
@@ -181,7 +198,7 @@ def test_assign_dose_matches_hand_evaluation():
     term3 = math.tanh(5.0 * (1.0 - c2))
     score = term1 + term2 + term3 - 2.0
     expected = 1.0 / (1.0 + math.exp(-2.0 * score))
-    assert assign_dose(x, noise=0.0, c2=c2) == pytest.approx(expected, abs=1e-12)
+    assert _dose(x, noise=0.0, c2=c2) == pytest.approx(expected, abs=1e-12)
     # frozen value of the evaluation above
     assert expected == pytest.approx(0.40969341, abs=1e-7)
 
@@ -194,16 +211,15 @@ def test_gen_outcome_zero_at_sine_root():
     # sin(3*pi*s) = 0 at s = 1/3, so the raw outcome is exactly the noise
     gt = _frozen_gt()
     x = _fixed_row()
-    raw, _ = gen_outcome(x, s=1.0 / 3.0, a=1, gt=gt, noise=0.123)
+    raw = _raw_outcome(x, s=1.0 / 3.0, a=1, gt=gt) + 0.123
     assert raw == pytest.approx(0.123, abs=1e-12)
 
 
 def test_gen_outcome_group_independent_when_gamma_zero():
     gt = _frozen_gt(gamma=0.0)
     x = _fixed_row()
-    r0, y0 = gen_outcome(x, s=0.7, a=0, gt=gt, noise=0.05)
-    r1, y1 = gen_outcome(x, s=0.7, a=1, gt=gt, noise=0.05)
-    assert r0 == r1 and y0 == y1
+    assert np.array_equal(_group_factor(gt.gamma, gt.gamma_scale, np.asarray([0, 1])), [1.0, 1.0])
+    assert _raw_outcome(x, s=0.7, a=0, gt=gt) == _raw_outcome(x, s=0.7, a=1, gt=gt)
 
 
 def test_gen_outcome_matches_hand_evaluation():
@@ -216,19 +232,11 @@ def test_gen_outcome_matches_hand_evaluation():
         0.5 + 5.0 * min(0.3, 0.3, 0.3)
     )
     expected_raw = dose_part * inner
-    raw, y = gen_outcome(x, s=0.5, a=0, gt=gt, noise=0.0)
+    raw = _raw_outcome(x, s=0.5, a=0, gt=gt)
     assert raw == pytest.approx(expected_raw, abs=1e-12)
     assert expected_raw == pytest.approx(-2.12373470, abs=1e-7)
-    assert y == pytest.approx((expected_raw + 3.0) / 6.0, abs=1e-12)
-
-
-def test_gen_outcome_requires_frozen_ground_truth():
-    gt = GroundTruth(
-        c1=0.5, c2=0.5, gamma=0.0, gamma_scale=0.1, protected_feature=7,
-        scaling=FeatureScaling.identity(),
-    )
-    with pytest.raises(GenerationError):
-        gen_outcome(_fixed_row(), s=0.5, a=0, gt=gt, noise=0.0)
+    # the ground-truth query normalizes the same raw value by y_min/y_max
+    assert true_cadr(gt, 0.5, x) == pytest.approx((expected_raw + 3.0) / 6.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -286,32 +294,46 @@ def test_dataset_roundtrip_csv(tmp_path):
 # ground-truth queries
 # ---------------------------------------------------------------------------
 
+def test_ground_truth_json_roundtrip_rejects_missing_or_non_finite_bounds():
+    _, gt = generate_dataset(synth_covariates(50, seed=3), GenConfig(seed=3))
+    assert GroundTruth.from_json(gt.to_json()) == gt
+    obj = json.loads(gt.to_json())
+    for field in ("y_min", "y_max"):
+        for bad in (None, float("nan"), float("inf"), "missing"):
+            broken = dict(obj)
+            if bad == "missing":
+                del broken[field]
+            else:
+                broken[field] = bad
+            with pytest.raises(GenerationError, match=field):
+                GroundTruth.from_json(json.dumps(broken))
+
+
 def test_true_cadr_pure():
     gt = _frozen_gt()
     x = _fixed_row()
     assert true_cadr(gt, 0.37, x) == true_cadr(gt, 0.37, x)
 
 
-def test_true_cadr_monte_carlo_consistency():
-    cov = synth_covariates(300, seed=21)
-    cfg = GenConfig(seed=21)
+def _own_dose_means(cov, cfg):
+    """Generated outcomes and the ground truth's mean outcome at each row's own dose."""
     ds, gt = generate_dataset(cov, cfg)
-    s = 0.45
-    # pick a row whose mean outcome sits well inside (0, 1): clamping bias
-    # would corrupt the comparison near the boundaries
-    mus = true_cadr_grid(gt, np.asarray([s]), cov.features)[:, 0]
-    row = int(np.argmin(np.abs(mus - 0.5)))
-    x = cov.features[row]
-    a = int(ds.protected[row])
-    mu = true_cadr(gt, s, x)
-    assert 0.3 < mu < 0.7
-    rng = np.random.default_rng(99)
-    sd = math.sqrt(cfg.outcome_noise_variance)
-    draws = np.array(
-        [gen_outcome(x, s, a, gt, noise=rng.normal(0.0, sd))[1] for _ in range(10_000)]
-    )
-    stderr = draws.std() / math.sqrt(len(draws))
-    assert abs(draws.mean() - mu) < 3.0 * stderr + 1e-3
+    return ds.outcomes, np.diag(true_cadr_grid(gt, ds.doses, cov.features))
+
+
+def test_true_cadr_monte_carlo_consistency():
+    # without outcome noise the generator's outcomes are the ground truth, bit for bit
+    for seed in range(5):
+        cov = synth_covariates(300, seed=seed)
+        for gamma in (0.0, 5.0):
+            cfg = GenConfig(seed=seed, gamma=gamma, outcome_noise_variance=0.0)
+            y, mu = _own_dose_means(cov, cfg)
+            assert np.array_equal(y, mu)
+    # with the default noise, the outcomes scatter around it without bias
+    y, mu = _own_dose_means(synth_covariates(300, seed=21), GenConfig(seed=21))
+    residual = y - mu
+    stderr = residual.std() / math.sqrt(residual.size)
+    assert abs(residual.mean()) < 3.0 * stderr
 
 
 def test_true_cade_vector_zero_at_dose_zero():

@@ -26,7 +26,6 @@ from doseuplift.metrics import (
     fairness_report,
     regret,
     regret_norm,
-    save_curves_csv,
     value_curve,
 )
 
@@ -206,9 +205,9 @@ def test_fairness_report_equal_doses():
         doses=np.asarray([0.0, 1.0]),
         provenance="estimated",
     )
-    p = Policy.from_dose_indices(np.asarray([1, 1]), 2)
+    p = Policy(np.asarray([1, 1]), 2)
     rep = fairness_report(p, cade, np.asarray([0, 1]))
-    assert rep.dose_ratio == pytest.approx(1.0, abs=1e-12)
+    assert rep.mean_dose_g0 / rep.mean_dose_g1 == pytest.approx(1.0, abs=1e-12)
     assert rep.mean_gain_g0 == pytest.approx(0.2, abs=1e-12)
     assert rep.mean_gain_g1 == pytest.approx(0.1, abs=1e-12)
 
@@ -219,7 +218,7 @@ def test_fairness_report_all_zero_policy():
         doses=np.asarray([0.0, 1.0]),
         provenance="estimated",
     )
-    p = Policy.from_dose_indices(np.asarray([0, 0]), 2)
+    p = Policy(np.asarray([0, 0]), 2)
     rep = fairness_report(p, cade, np.asarray([0, 1]))
     assert rep.mean_gain_g0 == 0.0 and rep.mean_gain_g1 == 0.0
 
@@ -228,7 +227,7 @@ def test_fairness_report_empty_group_error():
     cade = CadeMatrix(
         values=np.asarray([[0.0, 0.2]]), doses=np.asarray([0.0, 1.0]), provenance="estimated"
     )
-    p = Policy.from_dose_indices(np.asarray([1]), 2)
+    p = Policy(np.asarray([1]), 2)
     with pytest.raises(MetricError):
         fairness_report(p, cade, np.asarray([0]))
 
@@ -240,21 +239,5 @@ def test_fairness_report_replays_solver_constraint(pipeline):
     )
     report = solve_bnb(prob)
     rep = fairness_report(report.policy, true_cade, ds.protected)
-    ratio = rep.dose_ratio
+    ratio = rep.mean_dose_g0 / rep.mean_dose_g1
     assert 0.9 - 1e-7 <= ratio <= 1.1 + 1e-7
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def test_save_curves_csv(tmp_path):
-    budgets = np.asarray([1.0, 2.0])
-    e = _curve(budgets, [0.1, 0.2])
-    p = _curve(budgets, [0.2, 0.3])
-    o = _curve(budgets, [0.3, 0.4])
-    path = tmp_path / "curves.csv"
-    save_curves_csv(path, budgets, e, p, o)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "budget,value_exp,value_presc,value_opt"
-    assert lines[1] == "1.0,0.1,0.2,0.3"
