@@ -168,10 +168,11 @@ def make_problem(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
     """Exactly one dose per entity, held as int16 dose indices; ``matrix``,
-    the binary entity x dose assignment, is built on demand."""
+    the binary entity x dose assignment, is built on demand. Two policies
+    are equal when they assign the same doses on the same grid size."""
 
     dose_indices: np.ndarray
     n_doses: int
@@ -188,6 +189,17 @@ class Policy:
         idx.flags.writeable = False
         object.__setattr__(self, "dose_indices", idx)
         object.__setattr__(self, "n_doses", int(self.n_doses))
+
+    def _key(self) -> tuple[int, bytes]:
+        return self.n_doses, self.dose_indices.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, Policy):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def shape(self) -> tuple[int, int]:

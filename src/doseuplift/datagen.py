@@ -35,6 +35,15 @@ class GenerationError(ValueError):
     """Raised when dataset generation cannot proceed (e.g. degenerate outcomes)."""
 
 
+def _check_finite(name: str, v) -> None:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        raise GenerationError(f"{name} must be a finite number, got {v!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class FeatureScaling:
     """Per-column affine map of the continuous features onto [0, 1].
@@ -53,8 +62,11 @@ class FeatureScaling:
             CONTINUOUS_COLS
         ):
             raise GenerationError("scaling needs one (min, max) per continuous column")
+        for name in ("col_min", "col_max"):
+            for v in getattr(self, name):
+                _check_finite(f"scaling {name}", v)
         if any(hi <= lo for lo, hi in zip(self.col_min, self.col_max)):
-            raise GenerationError("degenerate continuous column: max must exceed min")
+            raise GenerationError("degenerate scaling column: max must exceed min")
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "FeatureScaling":
@@ -171,12 +183,19 @@ class GroundTruth:
     outcome_guard_count: int = 0
 
     def __post_init__(self):
-        for name in ("y_min", "y_max"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not np.isfinite(v):
-                raise GenerationError(f"{name} must be a finite number, got {v!r}")
+        for name in ("c1", "c2", "gamma", "gamma_scale", "y_min", "y_max"):
+            _check_finite(name, getattr(self, name))
         if not self.y_max > self.y_min:
             raise GenerationError("y_max must exceed y_min")
+        if not _is_int(self.protected_feature) or self.protected_feature - 1 not in BINARY_COLS_1:
+            raise GenerationError(
+                f"protected_feature must be one of {sorted(c + 1 for c in BINARY_COLS_1)}, "
+                f"got {self.protected_feature!r}"
+            )
+        for name in ("dose_guard_count", "outcome_guard_count"):
+            v = getattr(self, name)
+            if not _is_int(v) or v < 0:
+                raise GenerationError(f"{name} must be a non-negative int, got {v!r}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -202,12 +221,15 @@ class GroundTruth:
         obj = json.loads(text)
         if obj.get("format") != "doseuplift-groundtruth/1":
             raise ValueError("unrecognized ground-truth file format")
+        for name in ("scaling_min", "scaling_max"):
+            if not isinstance(obj.get(name), list):
+                raise GenerationError(f"{name} must be a list of numbers, got {obj.get(name)!r}")
         return cls(
-            c1=obj["c1"],
-            c2=obj["c2"],
-            gamma=obj["gamma"],
-            gamma_scale=obj["gamma_scale"],
-            protected_feature=obj["protected_feature"],
+            c1=obj.get("c1"),
+            c2=obj.get("c2"),
+            gamma=obj.get("gamma"),
+            gamma_scale=obj.get("gamma_scale"),
+            protected_feature=obj.get("protected_feature"),
             scaling=FeatureScaling(
                 col_min=tuple(obj["scaling_min"]), col_max=tuple(obj["scaling_max"])
             ),

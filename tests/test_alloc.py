@@ -156,6 +156,24 @@ def test_policy_holds_compact_dose_indices_and_rejects_bad_ones():
         Policy([0], 40_000)
 
 
+def test_policy_equality_and_hash_follow_the_doses():
+    p = Policy([0, 1], 2)
+    assert p == Policy(np.asarray([0, 1], dtype=np.int64), 2) and hash(p) == hash(Policy([0, 1], 2))
+    for other in (Policy([1, 0], 2), Policy([0, 1], 3), Policy([0, 1, 0], 2)):
+        assert p != other
+    assert Policy([], 2) != Policy([], 3)
+    assert p != [0, 1] and p != "policy"
+    table = {p: "a", Policy([1, 1], 2): "b"}
+    assert table[Policy([0, 1], 2)] == "a" and len(table) == 2
+
+    def report(policy):
+        return alloc.SolveReport("optimal", 1.0, policy, 1, None, 1.0, 0.5)
+
+    assert report(p) == report(Policy([0, 1], 2))
+    assert report(p) != report(Policy([1, 1], 2))
+    assert report(p) != report(None)
+
+
 # ---------------------------------------------------------------------------
 # greedy
 # ---------------------------------------------------------------------------

@@ -309,6 +309,38 @@ def test_ground_truth_json_roundtrip_rejects_missing_or_non_finite_bounds():
                 GroundTruth.from_json(json.dumps(broken))
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("gamma", float("nan")),  # loaded before, then gave NaN means
+        ("c1", None),  # loaded before, then raised TypeError at the first query
+        ("protected_feature", 99),  # loaded before, then raised IndexError
+        ("c2", float("inf")),
+        ("c2", "0.5"),
+        ("gamma_scale", "missing"),
+        ("protected_feature", 1),  # a continuous column
+        ("protected_feature", 7.0),
+        ("protected_feature", True),
+        ("scaling_min", None),
+        ("scaling_min", [0.0, 0.0, float("nan"), 0.0, 0.0]),
+        ("scaling_max", [1.0, 1.0, 1.0, 1.0]),
+        ("scaling_max", [1.0, 1.0, 1.0, 1.0, None]),
+        ("scaling_max", [-100.0] * 5),  # below scaling_min
+        ("dose_guard_count", -1),
+        ("outcome_guard_count", 1.5),
+    ],
+)
+def test_ground_truth_json_rejects_bad_fields(field, bad):
+    _, gt = generate_dataset(synth_covariates(50, seed=3), GenConfig(seed=3))
+    broken = json.loads(gt.to_json())
+    if bad == "missing":
+        del broken[field]
+    else:
+        broken[field] = bad
+    with pytest.raises(GenerationError, match="scaling" if field.startswith("scaling") else field):
+        GroundTruth.from_json(json.dumps(broken))
+
+
 def test_true_cadr_pure():
     gt = _frozen_gt()
     x = _fixed_row()

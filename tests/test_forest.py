@@ -1,4 +1,13 @@
-"""The forest's vectorized split search and grid prediction against their references."""
+"""The forest's vectorized split search, grid prediction and process-parallel
+fit against their references."""
+
+import concurrent.futures
+import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +17,7 @@ from hypothesis import strategies as st
 from doseuplift import forest as forest_mod
 from doseuplift.datagen import Dataset, GenConfig, generate_dataset, synth_covariates
 from doseuplift.estimators import fit_binned_slearner, fit_rf_slearner
+from doseuplift.experiments import ExperimentConfig, dataset_from_config, rf_grid
 from doseuplift.forest import RandomForestRegressor, RfConfig
 
 from .oracles import best_split_oracle, binned_predict_oracle
@@ -164,3 +174,135 @@ def test_binned_stratum_reuse_matches_per_dose_oracle(gen_data):
         assert np.array_equal(est.predict_mu(doses, x_mat), want)
     assert est.diagnostics["empty_strata"] == [7, 8, 9]
     assert fallback == 30 * 33
+
+
+def _set_cpus(monkeypatch, n: int) -> None:
+    """The CPU set ``fit`` reads, so each path runs on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of every process pool ``fit`` starts."""
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Spy(real):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return started
+
+
+def _rows(data):
+    """The forest's training input of a dataset: covariates ++ dose, and outcomes."""
+    return np.hstack([data.covariates.features, data.doses.reshape(-1, 1)]), data.outcomes
+
+
+def _exp1_input(seed):
+    """The exp1 rows and forest config at ``seed``, cut to 16 trees."""
+    cfg = ExperimentConfig(seed=seed)
+    ds, _ = dataset_from_config(cfg)
+    return (*_rows(ds), dataclasses.replace(rf_grid(cfg)[0], n_trees=16))
+
+
+def _on_gen_data(cfg):
+    return lambda data: (*_rows(data), cfg)
+
+
+def _tiny_input():
+    rng = np.random.default_rng(3)
+    return rng.normal(size=(5, 2)), rng.normal(size=5), RfConfig(n_trees=3, min_samples_leaf=1, seed=5)
+
+
+def _fit_json(x_mat, y, cfg):
+    return RandomForestRegressor(cfg).fit(x_mat, y).to_json()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda data: _exp1_input(0),
+        lambda data: _exp1_input(2024),
+        _on_gen_data(RfConfig(n_trees=5, bootstrap=False, seed=2)),
+        _on_gen_data(RfConfig(n_trees=5, max_depth=None, min_samples_leaf=1, seed=6)),
+        _on_gen_data(RfConfig(n_trees=4, feature_subsample="all", seed=7)),
+        _on_gen_data(RfConfig(n_trees=1, seed=9)),
+        _on_gen_data(RfConfig(n_trees=2, seed=9)),
+        _on_gen_data(RfConfig(n_trees=3, seed=9)),
+        lambda data: _tiny_input(),
+    ],
+    ids=["exp1-seed0", "exp1-seed2024", "no-bootstrap", "unlimited-depth", "all-features",
+         "1-tree", "2-trees", "3-trees", "5-rows"],
+)
+def test_parallel_fit_json_matches_serial(gen_data, make, monkeypatch, pools):
+    x_mat, y, cfg = make(gen_data)
+    _set_cpus(monkeypatch, 1)
+    serial = _fit_json(x_mat, y, cfg)
+    assert pools == []
+    _set_cpus(monkeypatch, 2)
+    assert _fit_json(x_mat, y, cfg) == serial
+    assert pools == ([] if cfg.n_trees == 1 else [2])  # one tree takes the serial loop
+    assert multiprocessing.active_children() == []
+
+
+def test_fit_without_fork_runs_serially(gen_data, monkeypatch, pools):
+    x_mat, y = _rows(gen_data)
+    cfg = RfConfig(n_trees=4, seed=1)
+    _set_cpus(monkeypatch, 2)
+    want = _fit_json(x_mat, y, cfg)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _fit_json(x_mat, y, cfg) == want
+    assert pools == [2]  # the first fit's pool only
+    assert multiprocessing.active_children() == []
+
+
+def test_patched_split_search_reaches_the_workers(gen_data, monkeypatch, pools):
+    # the oracle comparison above patches ``_best_split`` too; it compares the
+    # new search with the oracle only if the patch reaches the forked workers
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(forest_mod, "_best_split", lambda *args: None)
+    trees = fit_rf_slearner(gen_data, RfConfig(n_trees=5, seed=3)).forest.trees
+    assert pools == [2]
+    assert len(trees) == 5
+    assert all(t.feature.tolist() == [-1] for t in trees)
+
+
+def _failing_build_tree(x_mat, y, cfg, rng):
+    raise FloatingPointError("tree failed")
+
+
+def test_worker_error_surfaces_and_workers_are_joined(gen_data, monkeypatch, pools):
+    _set_cpus(monkeypatch, 2)
+    fit_rf_slearner(gen_data, RfConfig(n_trees=4, seed=1))
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(forest_mod, "_build_tree", _failing_build_tree)
+    with pytest.raises(FloatingPointError, match="tree failed"):
+        fit_rf_slearner(gen_data, RfConfig(n_trees=4, seed=1))
+    assert pools == [2, 2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_fit_in_a_daemon_pool_worker_matches_serial(gen_data, monkeypatch):
+    x_mat, y = _rows(gen_data)
+    cfg = RfConfig(n_trees=4, seed=11)
+    _set_cpus(monkeypatch, 1)
+    serial = _fit_json(x_mat, y, cfg)
+    _set_cpus(monkeypatch, 2)  # the pool worker inherits two CPUs, but is a daemon
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_fit_json, (x_mat, y, cfg)).get(timeout=60)
+    assert got == serial
+
+
+def test_import_leaves_pool_modules_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, doseuplift; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
