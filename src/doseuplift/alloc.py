@@ -316,13 +316,11 @@ def solve_greedy(prob: AllocationProblem) -> SolveReport:
     if prob.active_fairness():
         raise AllocError("greedy heuristic does not support fairness constraints")
     best_dose, best_val = _best_nonnegative_dose(prob)
-    order = sorted(range(prob.n), key=lambda i: (-best_val[i], i))
+    order = np.argsort(-best_val, kind="stable")  # ties: lowest entity first
     remaining = prob.budget
     assign = np.zeros(prob.n, dtype=int)
-    for i in order:
+    for i in order[best_dose[order] > 0].tolist():
         d = int(best_dose[i])
-        if d == 0 or best_val[i] <= 0.0:
-            continue
         c = prob.costs[i, d]
         if c <= remaining + BUDGET_TOL:
             assign[i] = d
@@ -468,7 +466,6 @@ def _build_lp(prob: AllocationProblem) -> LpProblem:
     return LpProblem(
         objective=obj,
         a_matrix=a,
-        senses=["<="] * m,
         rhs=rhs,
         lower=np.zeros(nv),
         upper=np.ones(nv),
@@ -577,7 +574,6 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
                 incumbent, inc_obj = candidate, cand_obj
 
         frac = np.minimum(sol.x - np.floor(sol.x), np.ceil(sol.x) - sol.x)
-        frac[upper - lower <= 0] = 0.0
         max_frac = float(frac.max(initial=0.0))
         if max_frac <= INT_TOL:
             if feasible:

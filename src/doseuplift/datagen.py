@@ -151,10 +151,9 @@ class Dataset:
         n = self.covariates.n
         if not (len(self.doses) == len(self.outcomes) == len(self.protected) == n):
             raise ValueError("dataset arrays must all have the covariate row count")
-        if np.min(self.doses) < 0 or np.max(self.doses) > 1:
-            raise ValueError("doses must lie in [0, 1]")
-        if np.min(self.outcomes) < 0 or np.max(self.outcomes) > 1:
-            raise ValueError("outcomes must lie in [0, 1]")
+        for values, name in ((self.doses, "doses"), (self.outcomes, "outcomes")):
+            if not np.all((values >= 0) & (values <= 1)):  # NaN fails both comparisons
+                raise ValueError(f"{name} must lie in [0, 1]")
 
     @property
     def n(self) -> int:

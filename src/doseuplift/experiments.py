@@ -80,8 +80,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.delta < 1:
             raise ConfigError("delta must be >= 1")
+        if not self.budgets:
+            raise ConfigError("budgets must not be empty")
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):
             raise ConfigError("budgets must be strictly ascending")
+        if not (self.auuc_step > 0 and all(c > 0 for c in self.auuc_caps)):
+            raise ConfigError("auuc_step and every auuc_caps entry must be positive")
         for eps in self.eps_dt_grid + self.eps_do_grid:
             if not 0.0 <= eps <= 1.0:
                 raise ConfigError("fairness slack grids must lie in [0, 1]")
@@ -107,6 +111,8 @@ def parse_feature_subsample(text: str) -> str | int:
 def _parse_range_or_list(text: str) -> tuple[float, ...]:
     if ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
+        if not (-np.inf < start <= stop < np.inf and step > 0):
+            raise ValueError(f"range {text!r} needs start <= stop and a positive step")
         vals, b = [], start
         while b <= stop + 1e-9:
             vals.append(round(b, 10))

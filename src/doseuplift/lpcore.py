@@ -1,8 +1,9 @@
 """Bounded primal revised simplex for the allocation LP relaxations.
 
-Maximization with row senses <=, >=, =, finite variable bounds, and
-optional one-of sets: disjoint groups of columns whose values sum to at
-most 1, such as the one-dose-per-entity rows of the allocation LP. A set is
+Maximization under ``<=`` rows, finite variable bounds, and optional
+one-of sets: disjoint groups of columns whose values sum to at most 1, such
+as the one-dose-per-entity rows of the allocation LP. A ``>=`` row is stated
+negated and an ``=`` row as two ``<=`` rows. A set is
 never written as a row. It keeps one basic "key" variable that absorbs the
 set's equation (generalized upper bounds, Dantzig & Van Slyke 1967), so the
 working basis spans only the coupling rows. The allocation LP has at most
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -32,11 +32,6 @@ STALL_LIMIT = 500
 # what a pivot leaves stale
 _NOTHING, _PRICES, _BASIS = 0, 1, 2
 
-LE, GE, EQ = "<=", ">=", "="
-_SENSES = (LE, GE, EQ)
-# slack bounds per row sense: a.x + slack = b
-_SLACK_BOUNDS = {LE: (0.0, np.inf), GE: (-np.inf, 0.0), EQ: (0.0, 0.0)}
-
 
 class LpError(ValueError):
     """Raised for malformed problems (dimension or bound violations)."""
@@ -44,7 +39,8 @@ class LpError(ValueError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max objective . x  subject to row constraints, variable bounds and sets.
+    """max objective . x  subject to a_matrix @ x <= rhs, lower <= x <= upper
+    and the sets.
 
     ``sets[j]`` is the one-of set of column j, or -1 for none; the columns
     of a set sum to at most 1. Set ids lie in -1..n_cols-1. ``None`` means
@@ -53,7 +49,6 @@ class LpProblem:
 
     objective: np.ndarray
     a_matrix: np.ndarray
-    senses: Sequence[str]
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -68,11 +63,6 @@ class LpProblem:
         m, n = a.shape
         if c.shape != (n,) or b.shape != (m,):
             raise LpError(f"dimension mismatch: A is {m}x{n}, c {c.shape}, b {b.shape}")
-        if len(self.senses) != m:
-            raise LpError(f"expected {m} senses, got {len(self.senses)}")
-        for s in self.senses:
-            if s not in _SENSES:
-                raise LpError(f"unknown row sense {s!r}")
         for arr, name in ((c, "objective"), (a, "matrix"), (b, "rhs")):
             if not np.all(np.isfinite(arr)):
                 raise LpError(f"{name} contains non-finite values")
@@ -84,7 +74,6 @@ class LpProblem:
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "senses", tuple(self.senses))
         object.__setattr__(self, "sets", sets.astype(np.intp, copy=False))
         self._set_bounds(self.lower, self.upper)
 
@@ -117,10 +106,18 @@ class LpProblem:
     def n_cols(self) -> int:
         return self.a_matrix.shape[1]
 
+    # read by the benchmark's tracer (perfbench/tracing.py), which counts a
+    # slack for every row that is not "="
+    @property
+    def senses(self) -> tuple[str, ...]:
+        return ("<=",) * self.n_rows
+
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration_limit
+    """An LP's result; ``x`` is None unless ``status`` is ``optimal``."""
+
+    status: str  # optimal | infeasible | iteration_limit
     objective: float
     x: np.ndarray | None
     iterations: int
@@ -241,8 +238,6 @@ class _Simplex:
         t_rows = min(limits, default=np.inf)
         if t_own <= t_rows:
             return t_own, at, rate, -1
-        if t_rows == np.inf:
-            return np.inf, at, rate, -1
         near = [i for i, lim in enumerate(limits) if lim <= t_rows + 1e-12]
         if bland:
             pos = min(near, key=moved.__getitem__)
@@ -285,7 +280,7 @@ class _Simplex:
         self.cr[members] = self.c[members] - self.c[k]
 
     def run(self, max_iterations: int) -> str:
-        """Iterate to optimality; returns optimal | unbounded | iteration_limit."""
+        """Iterate to optimality; returns optimal | iteration_limit."""
         bland = False
         stall = 0
         last_obj = self.obj_val
@@ -303,8 +298,8 @@ class _Simplex:
             self.iterations += 1
             direction = -1.0 if self.at_upper[q] else 1.0
             t, moved, rate, pos = self._ratio_test(q, direction, bland)
-            if t == np.inf:
-                return "unbounded"
+            if t == np.inf:  # bounded columns bound the objective: only round-off gets here
+                raise RuntimeError("infinite simplex step; numerical failure")
             if t > 0.0:
                 self.x[moved] += np.multiply(rate, t)
                 self.x[q] += direction * t
@@ -351,10 +346,9 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     if np.any(set_lower > 1.0 + FEAS_TOL):
         return LpSolution("infeasible", float("nan"), None, 0)
 
+    # row slacks with every column at its lower bound; a negative one needs an artificial
     resid = problem.rhs - problem.a_matrix @ lower
-    slack_lo = np.array([_SLACK_BOUNDS[s][0] for s in problem.senses])
-    slack_hi = np.array([_SLACK_BOUNDS[s][1] for s in problem.senses])
-    art_rows = np.flatnonzero((resid < slack_lo - 1e-12) | (resid > slack_hi + 1e-12))
+    art_rows = np.flatnonzero(resid < -1e-12)
     n_art = art_rows.size
 
     # columns: structurals | row slacks | set slacks | artificials | null
@@ -363,21 +357,19 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     a = np.zeros((m, n_ext))
     a[:, :n] = problem.a_matrix
     a[np.arange(m), first_slack + np.arange(m)] = 1.0
-    a[art_rows, first_art + np.arange(n_art)] = np.sign(resid[art_rows])
+    a[art_rows, first_art + np.arange(n_art)] = -1.0
     sets = np.concatenate([
         problem.sets, np.full(m, -1), np.arange(n_sets), np.full(n_art + 1, -1)
     ]).astype(np.intp)
-    lo = np.concatenate([lower, slack_lo, np.zeros(n_sets), np.zeros(n_art), [0.0]])
-    hi = np.concatenate([upper, slack_hi, np.full(n_sets, np.inf), np.full(n_art, np.inf), [0.0]])
+    lo = np.concatenate([lower, np.zeros(m + n_sets + n_art + 1)])
+    hi = np.concatenate([upper, np.full(m + n_sets + n_art, np.inf), [0.0]])
 
     x = np.zeros(n_ext)
     x[:n] = lower
-    x[first_slack:first_set] = np.clip(resid, slack_lo, slack_hi)
-    x[first_slack + art_rows] = 0.0
+    x[first_slack:first_set] = np.maximum(resid, 0.0)
     x[first_set:first_art] = np.maximum(1.0 - set_lower, 0.0)
-    x[first_art:-1] = np.abs(resid[art_rows])
+    x[first_art:-1] = -resid[art_rows]
     at_upper = np.zeros(n_ext, dtype=bool)
-    at_upper[first_slack + art_rows] = slack_lo[art_rows] < 0.0  # >= slacks rest at 0
     basis = first_slack + np.arange(m)
     basis[art_rows] = first_art + np.arange(n_art)
     state = _Simplex(
@@ -391,8 +383,6 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
         status = state.run(max_iterations)
         if status == "iteration_limit":
             return LpSolution("iteration_limit", float("nan"), None, state.iterations, state.stats())
-        if status == "unbounded":  # phase I is bounded above by zero
-            raise RuntimeError("phase I reported unbounded; numerical failure")
         if state.x[first_art:-1].sum() > FEAS_TOL:
             return LpSolution("infeasible", float("nan"), None, state.iterations, state.stats())
         # freeze artificials at zero; basic ones leave at the first pivot
@@ -404,8 +394,6 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     c2[:n] = problem.objective
     state.set_phase(c2)
     status = state.run(max_iterations)
-    if status == "unbounded":
-        return LpSolution("unbounded", float("inf"), None, state.iterations, state.stats())
     if status == "iteration_limit":
         return LpSolution("iteration_limit", float("nan"), None, state.iterations, state.stats())
 
@@ -422,15 +410,7 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
 
 def constraint_violation(problem: LpProblem, x: np.ndarray) -> float:
     """Largest signed violation of any row or set of the problem at point x."""
-    ax = problem.a_matrix @ x
-    worst = 0.0
-    for i, s in enumerate(problem.senses):
-        if s == LE:
-            worst = max(worst, ax[i] - problem.rhs[i])
-        elif s == GE:
-            worst = max(worst, problem.rhs[i] - ax[i])
-        else:
-            worst = max(worst, abs(ax[i] - problem.rhs[i]))
+    worst = float(np.max(problem.a_matrix @ x - problem.rhs, initial=0.0))
     member = problem.sets >= 0
     set_sums = np.bincount(problem.sets[member], x[member])
     return max(worst, float(np.max(set_sums - 1.0, initial=0.0)))

@@ -373,8 +373,7 @@ def test_criterion_9_lp_engine():
         c = rng.uniform(-1.0, 1.0, size=n)
         ub = rng.uniform(0.5, 2.0, size=n)
         p = LpProblem(
-            objective=c, a_matrix=a, senses=["<="] * m, rhs=b,
-            lower=np.zeros(n), upper=ub,
+            objective=c, a_matrix=a, rhs=b, lower=np.zeros(n), upper=ub,
         )
         sol = solve_lp(p)
         assert sol.status == "optimal"

@@ -209,6 +209,25 @@ def test_greedy_skips_nonpositive_doses():
     assert np.array_equal(report.policy.dose_indices, [0])
 
 
+def test_greedy_matches_the_plain_rank_loop_on_ties():
+    """Greedy's vectorized ranking against the loop it replaced: every entity
+    sorted by (-best value, index) and skipped when its best dose is 0."""
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n, delta = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+        vals = rng.integers(-2, 4, size=(n, delta + 1)) / 4  # ties and zero rows are common
+        vals[:, 0] = 0.0
+        prob = make_problem(_cade(vals), budget=float(rng.uniform(0, n)), groups=np.zeros(n, dtype=int))
+        best_dose, best_val = alloc._best_nonnegative_dose(prob)
+        remaining, want = prob.budget, np.zeros(n, dtype=int)
+        for i in sorted(range(n), key=lambda i: (-best_val[i], i)):
+            d = int(best_dose[i])
+            if d and best_val[i] > 0.0 and prob.costs[i, d] <= remaining + alloc.BUDGET_TOL:
+                want[i] = d
+                remaining -= prob.costs[i, d]
+        assert np.array_equal(solve_greedy(prob).policy.dose_indices, want)
+
+
 def test_greedy_rejects_fairness():
     prob = _two_entity_problem(budget=1.0, eps_dt=0.5)
     with pytest.raises(AllocError, match="fairness"):

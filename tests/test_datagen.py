@@ -290,6 +290,28 @@ def test_dataset_roundtrip_csv(tmp_path):
     assert np.array_equal(back.protected, ds.protected)
 
 
+@pytest.mark.parametrize("column", ["doses", "outcomes"])
+def test_dataset_rejects_nan_doses_and_outcomes(tmp_path, column):
+    cov = synth_covariates(60, seed=5)
+    ds, _ = generate_dataset(cov, GenConfig(seed=5))
+    values = getattr(ds, column).copy()
+    values[3] = np.nan
+    fields = dict(covariates=ds.covariates, doses=ds.doses, outcomes=ds.outcomes, protected=ds.protected)
+    with pytest.raises(ValueError, match=f"{column} must lie in"):
+        Dataset(**{**fields, column: values})
+
+    # the same cell read back from a CSV: the dose is column s, the outcome y
+    path = tmp_path / "data.csv"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[-2 if column == "doses" else -1] = "nan"
+    lines[4] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{column} must lie in"):
+        load_dataset(path)
+
+
 # ---------------------------------------------------------------------------
 # ground-truth queries
 # ---------------------------------------------------------------------------

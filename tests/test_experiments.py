@@ -73,6 +73,25 @@ def test_parse_config_range_syntax():
     assert cfg.budgets == tuple(float(b) for b in range(25, 251, 25))
 
 
+def test_parse_config_refuses_endless_or_empty_ranges():
+    # a non-positive step never reaches the stop; start > stop is an empty grid
+    for bad in ("2:8:0", "2:8:-2", "8:2:2", "8:2:-2", "0:inf:1", "-inf:0:1", "nan:8:2", "2:8:nan"):
+        with pytest.raises(ConfigError, match="line 2: bad value for 'budgets'"):
+            parse_config(f"seed = 1\nbudgets = {bad}\n")
+    assert parse_config("budgets = 2:2:1\n").budgets == (2.0,)
+
+
+def test_config_refuses_empty_budgets_and_nonpositive_auuc_grid():
+    with pytest.raises(ConfigError, match="budgets must not be empty"):
+        parse_config("budgets = ,\n")
+    for text in ("auuc_step = 0", "auuc_step = -10", "auuc_step = nan",
+                 "auuc_caps = 140,0", "auuc_caps = -10"):
+        with pytest.raises(ConfigError, match="auuc_step and every auuc_caps entry must be positive"):
+            parse_config(text + "\n")
+    with pytest.raises(ConfigError, match="budgets must not be empty"):
+        ExperimentConfig(budgets=())
+
+
 def test_parse_config_unknown_key_is_error():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("no_such_key = 1\n")

@@ -19,11 +19,10 @@ from doseuplift.lpcore import FEAS_TOL, LpError, LpProblem, constraint_violation
 from .oracles import simplex_oracle
 
 
-def _problem(c, a, senses, b, lo, hi):
+def _problem(c, a, b, lo, hi):
     return LpProblem(
         objective=np.asarray(c, dtype=float),
         a_matrix=np.asarray(a, dtype=float),
-        senses=senses,
         rhs=np.asarray(b, dtype=float),
         lower=np.asarray(lo, dtype=float),
         upper=np.asarray(hi, dtype=float),
@@ -31,28 +30,44 @@ def _problem(c, a, senses, b, lo, hi):
 
 
 def test_single_variable_row_bound():
-    p = _problem([1.0], [[1.0]], ["<="], [3.0], [0.0], [10.0])
+    p = _problem([1.0], [[1.0]], [3.0], [0.0], [10.0])
     sol = solve_lp(p)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
 
 def test_infeasible_pair():
-    p = _problem([1.0], [[1.0], [1.0]], [">=", "<="], [2.0, 1.0], [0.0], [10.0])
+    # x >= 2 (negated) and x <= 1
+    p = _problem([1.0], [[-1.0], [1.0]], [-2.0, 1.0], [0.0], [10.0])
     sol = solve_lp(p)
     assert sol.status == "infeasible"
 
 
-def test_equality_and_ge_rows():
-    # max x + y s.t. x + y <= 4, x >= 1, y = 2 -> x = 2, y = 2
-    p = _problem(
+def _ge_and_eq_rows():
+    """max x + y s.t. x + y <= 4, x >= 1, y = 2 -> x = 2, y = 2; the >= row
+    is negated and the = row is two <= rows, so the start needs Phase I."""
+    return _problem(
         [1.0, 1.0],
-        [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
-        ["<=", ">=", "="],
-        [4.0, 1.0, 2.0],
+        [[1.0, 1.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+        [4.0, -1.0, 2.0, -2.0],
         [0.0, 0.0],
         [10.0, 10.0],
     )
+
+
+def _redundant_equal_rows():
+    """x + y = 2 twice, each as two <= rows."""
+    return _problem(
+        [1.0, 0.0],
+        [[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]],
+        [2.0, -2.0, 2.0, -2.0],
+        [0.0, 0.0],
+        [5.0, 5.0],
+    )
+
+
+def test_equality_and_ge_rows():
+    p = _ge_and_eq_rows()
     sol = solve_lp(p)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(4.0, abs=1e-9)
@@ -60,21 +75,14 @@ def test_equality_and_ge_rows():
 
 
 def test_redundant_equality_rows():
-    p = _problem(
-        [1.0, 0.0],
-        [[1.0, 1.0], [1.0, 1.0]],
-        ["=", "="],
-        [2.0, 2.0],
-        [0.0, 0.0],
-        [5.0, 5.0],
-    )
+    p = _redundant_equal_rows()
     sol = solve_lp(p)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
 
 
 def test_no_rows_box_only():
-    p = _problem([1.0, -1.0], np.zeros((0, 2)), [], [], [0.0, 0.0], [1.0, 1.0])
+    p = _problem([1.0, -1.0], np.zeros((0, 2)), [], [0.0, 0.0], [1.0, 1.0])
     sol = solve_lp(p)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-12)
@@ -85,7 +93,6 @@ def test_fixed_variables_are_substituted():
     p = _problem(
         [3.0, 1.0],
         [[1.0, 1.0]],
-        ["<="],
         [5.0],
         [2.0, 0.0],
         [2.0, 10.0],
@@ -98,28 +105,27 @@ def test_fixed_variables_are_substituted():
 
 def test_negative_upper_bound_region():
     # variable forced negative: -3 <= x <= -1, max x -> -1
-    p = _problem([1.0], np.zeros((0, 1)), [], [], [-3.0], [-1.0])
+    p = _problem([1.0], np.zeros((0, 1)), [], [-3.0], [-1.0])
     sol = solve_lp(p)
     assert sol.objective == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(LpError):
-        _problem([1.0, 2.0], [[1.0]], ["<="], [1.0], [0.0], [1.0])
+        _problem([1.0, 2.0], [[1.0]], [1.0], [0.0], [1.0])
 
 
 def test_nonfinite_bound_rejected():
     with pytest.raises(LpError):
-        _problem([1.0], [[1.0]], ["<="], [1.0], [0.0], [np.inf])
+        _problem([1.0], [[1.0]], [1.0], [0.0], [np.inf])
 
 
 def test_with_bounds_checks_only_bounds_and_shares_the_rest():
-    p = _problem([1.0, 2.0], [[1.0, 1.0]], ["<="], [3.0], [0.0, 0.0], [2.0, 2.0])
+    p = _problem([1.0, 2.0], [[1.0, 1.0]], [3.0], [0.0, 0.0], [2.0, 2.0])
     q = p.with_bounds(np.asarray([0.0, 0.0]), [2.0, 0.5])
     assert q.a_matrix is p.a_matrix and q.objective is p.objective and q.rhs is p.rhs
-    assert q.senses == p.senses
     assert np.array_equal(p.upper, [2.0, 2.0])  # the original keeps its bounds
-    fresh = _problem([1.0, 2.0], [[1.0, 1.0]], ["<="], [3.0], [0.0, 0.0], [2.0, 0.5])
+    fresh = _problem([1.0, 2.0], [[1.0, 1.0]], [3.0], [0.0, 0.0], [2.0, 0.5])
     got, want = solve_lp(q), solve_lp(fresh)
     assert got.objective == want.objective and np.array_equal(got.x, want.x)
     for lo, hi in (
@@ -136,7 +142,7 @@ def test_iteration_limit_is_reported():
     rng = np.random.default_rng(3)
     a = rng.uniform(-1, 1, size=(10, 15))
     p = _problem(
-        rng.uniform(0.1, 1, 15), a, ["<="] * 10, rng.uniform(0.5, 2.0, 10),
+        rng.uniform(0.1, 1, 15), a, rng.uniform(0.5, 2.0, 10),
         np.zeros(15), np.full(15, 2.0),
     )
     sol = solve_lp(p, max_iterations=1)
@@ -148,7 +154,7 @@ def test_determinism():
     rng = np.random.default_rng(7)
     a = rng.uniform(-1, 1, size=(8, 12))
     p = _problem(
-        rng.uniform(-1, 1, 12), a, ["<="] * 8, rng.uniform(0.5, 2.0, 8),
+        rng.uniform(-1, 1, 12), a, rng.uniform(0.5, 2.0, 8),
         np.zeros(12), np.full(12, 1.5),
     )
     s1 = solve_lp(p)
@@ -168,7 +174,7 @@ def test_random_lps_match_independent_oracle():
         c = rng.uniform(-1.0, 1.0, size=n)
         ub = rng.uniform(0.5, 2.0, size=n)
 
-        p = _problem(c, a, ["<="] * m, b, np.zeros(n), ub)
+        p = _problem(c, a, b, np.zeros(n), ub)
         sol = solve_lp(p)
         assert sol.status == "optimal", f"trial {trial}: {sol.status}"
         # the oracle sees the variable boxes as ordinary rows
@@ -190,7 +196,7 @@ def test_weak_duality_against_feasible_points():
         b = rng.uniform(0.5, 2.0, size=m)
         c = rng.uniform(-1.0, 1.0, size=n)
         ub = rng.uniform(0.5, 2.0, size=n)
-        p = _problem(c, a, ["<="] * m, b, np.zeros(n), ub)
+        p = _problem(c, a, b, np.zeros(n), ub)
         sol = solve_lp(p)
         assert sol.status == "optimal"
         # sample feasible points by accept/reject inside the box
@@ -204,7 +210,7 @@ def test_weak_duality_against_feasible_points():
 
 
 def test_mixed_sense_random_agreement():
-    # problems with >= and = rows built so both routes see the same geometry
+    # a redundant >= row, stated negated, leaves the geometry the oracle sees unchanged
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(2, 12))
@@ -213,10 +219,9 @@ def test_mixed_sense_random_agreement():
         b = rng.uniform(0.5, 2.0, size=m)
         c = rng.uniform(-1.0, 1.0, size=n)
         ub = rng.uniform(0.5, 2.0, size=n)
-        # add a redundant >= 0-sum row: sum of nonnegative vars >= 0
-        a2 = np.vstack([a, np.ones(n)])
-        p = _problem(c, a2, ["<="] * m + [">="], np.concatenate([b, [0.0]]),
-                     np.zeros(n), ub)
+        # sum of nonnegative vars >= 0, as -sum <= 0
+        a2 = np.vstack([a, -np.ones(n)])
+        p = _problem(c, a2, np.concatenate([b, [0.0]]), np.zeros(n), ub)
         sol = solve_lp(p)
         a_oracle = np.vstack([a, np.eye(n)])
         b_oracle = np.concatenate([b, ub])
@@ -271,7 +276,6 @@ def _allocation_lps(draw):
     return LpProblem(
         objective=values,
         a_matrix=np.asarray(rows).reshape(len(rows), nv),
-        senses=["<="] * len(rows),
         rhs=np.asarray(rhs),
         lower=lower,
         upper=upper,
@@ -286,7 +290,6 @@ def test_implicit_sets_match_explicit_rows_and_oracle(p):
     explicit = LpProblem(
         objective=p.objective,
         a_matrix=np.vstack([p.a_matrix, _set_rows(p.sets)]),
-        senses=p.senses + ("<=",) * (int(p.sets.max()) + 1),
         rhs=np.concatenate([p.rhs, np.ones(int(p.sets.max()) + 1)]),
         lower=p.lower,
         upper=p.upper,
@@ -318,7 +321,7 @@ def test_implicit_sets_match_explicit_rows_and_oracle(p):
 
 def test_fixed_lower_bounds_overfilling_a_set_are_infeasible_without_pivots():
     p = LpProblem(
-        [1.0, 1.0, 1.0], np.zeros((0, 3)), [], [], [1.0, 0.5, 0.0], [1.0, 1.0, 1.0], sets=[0, 0, 1]
+        [1.0, 1.0, 1.0], np.zeros((0, 3)), [], [1.0, 0.5, 0.0], [1.0, 1.0, 1.0], sets=[0, 0, 1]
     )
     sol = solve_lp(p)
     assert sol.status == "infeasible" and sol.iterations == 0
@@ -328,14 +331,14 @@ def test_fixed_lower_bounds_overfilling_a_set_are_infeasible_without_pivots():
 def test_sets_validated():
     for sets in ([0], [0.0, 1.0], [-2, 0], [0, 2]):
         with pytest.raises(LpError):
-            LpProblem([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [0.0, 0.0], [1.0, 1.0], sets=sets)
+            LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0], sets=sets)
 
 
 def test_optimal_point_is_certified(monkeypatch):
     """A drifted point is refused instead of being reported optimal."""
     from doseuplift import lpcore
 
-    p = _problem([1.0, 1.0], [[1.0, 2.0]], ["<="], [2.0], [0.0, 0.0], [1.0, 1.0])
+    p = _problem([1.0, 1.0], [[1.0, 2.0]], [2.0], [0.0, 0.0], [1.0, 1.0])
     real_run = lpcore._Simplex.run
 
     def drifting_run(self, max_iterations):
@@ -345,6 +348,21 @@ def test_optimal_point_is_certified(monkeypatch):
 
     monkeypatch.setattr(lpcore._Simplex, "run", drifting_run)
     with pytest.raises(RuntimeError, match="violates"):
+        solve_lp(p)
+
+
+def test_infinite_step_is_a_numerical_failure(monkeypatch):
+    """Every column is bounded, so a step with no blocking bound is round-off,
+    not an unbounded LP: it raises instead of returning a status."""
+    p = _problem([1.0, 1.0], [[1.0, 2.0]], [2.0], [0.0, 0.0], [1.0, 1.0])
+    real_ratio_test = lpcore._Simplex._ratio_test
+
+    def unblocked(self, *args):
+        _, at, rate, _ = real_ratio_test(self, *args)
+        return np.inf, at, rate, -1
+
+    monkeypatch.setattr(lpcore._Simplex, "_ratio_test", unblocked)
+    with pytest.raises(RuntimeError, match="infinite simplex step"):
         solve_lp(p)
 
 
@@ -365,7 +383,6 @@ def test_leaving_key_hands_over_to_a_basic_sibling():
     p = LpProblem(
         objective=[1.0, 0.5, 0.1],
         a_matrix=[[2.0, 1.0, -1.0]],
-        senses=["<="],
         rhs=[1.0],
         lower=[0.0, 0.2, 0.0],
         upper=[1.0, 1.0, 2.0],
@@ -462,18 +479,13 @@ def test_maintained_state_matches_fresh_state_on_allocation_lps(p, bland):
 @pytest.mark.parametrize("bland", [False, True])
 def test_maintained_state_through_key_handovers_phase_one_and_bnb(bland):
     handover = LpProblem(
-        [1.0, 0.5, 0.1], [[2.0, 1.0, -1.0]], ["<="], [1.0], [0.0, 0.2, 0.0], [1.0, 1.0, 2.0],
+        [1.0, 0.5, 0.1], [[2.0, 1.0, -1.0]], [1.0], [0.0, 0.2, 0.0], [1.0, 1.0, 2.0],
         sets=[0, 0, -1],
     )
     rng = np.random.default_rng(29)
     with _checked_runs(bland) as seen:
         assert solve_lp(handover).status == "optimal"
-        for p in (
-            _problem([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], ["<=", ">=", "="],
-                     [4.0, 1.0, 2.0], [0.0, 0.0], [10.0, 10.0]),
-            _problem([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], ["=", "="], [2.0, 2.0],
-                     [0.0, 0.0], [5.0, 5.0]),
-        ):
+        for p in (_ge_and_eq_rows(), _redundant_equal_rows()):
             assert solve_lp(p).status == "optimal"
         for _ in range(6):
             n, delta = 6, 3

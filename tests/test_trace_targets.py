@@ -20,6 +20,11 @@ def test_trace_targets_exist(monkeypatch):
     assert targets
     for owner, attr, name, _ in targets:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr} (traced as {name}) is gone"
-    # the lpcore.solve_lp counter reads these two fields of every solution
-    sol = solve_lp(LpProblem([1.0], [[1.0]], ["<="], [1.0], [0.0], [2.0]))
+    # the lpcore.solve_lp counter reads the problem's rows, senses and bounds
+    # and the solution's status and pivots
+    p = LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [2.0, 0.0])
+    sol = solve_lp(p)
     assert (sol.status, sol.iterations) == ("optimal", 1)
+    counts = tracing._lp_counts((p,), {}, sol)
+    assert counts["pivots"] == 1 and not counts["infeasible"]
+    assert counts["tableau_bytes"] == 1 * (1 + 1) * 8  # one row, one free column, one slack
