@@ -25,7 +25,7 @@ from .datagen import (
     save_dataset,
     synth_covariates,
 )
-from .estimators import RfConfig, cade_matrix, mise, save_cade_csv
+from .estimators import RfConfig, cade_and_mise, save_cade_csv
 from .experiments import ExperimentConfig, gen_config, load_config, parse_feature_subsample
 
 
@@ -91,11 +91,11 @@ def _cmd_fit(args) -> int:
     if args.estimator == "rf":
         (out / "model.json").write_text(est.forest.to_json())
 
-    matrix = cade_matrix(est, ds, args.delta)
+    matrix, err = cade_and_mise(est, ds, args.delta, gt)
     save_cade_csv(matrix, out / "cade.csv")
     print(f"wrote {out}/cade.csv ({matrix.n} x {matrix.delta + 1})")
-    if gt is not None:
-        print(f"mise = {mise(est, gt, ds):.6f}")
+    if err is not None:
+        print(f"mise = {err:.6f}")
     return 0
 
 

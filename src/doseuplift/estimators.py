@@ -21,6 +21,7 @@ __all__ = [
     "oracle_estimator",
     "fit_rf_slearner",
     "fit_binned_slearner",
+    "cade_and_mise",
     "cade_matrix",
     "mise",
     "cross_validate_rf",
@@ -184,14 +185,33 @@ def fit_binned_slearner(data: Dataset, dose_bins: int, k: int) -> BinnedSLearner
     return BinnedSLearner(z, data.outcomes, dose_bins, k)
 
 
-def cade_matrix(est: Estimator, data: Dataset, delta: int) -> CadeMatrix:
-    """Discretize the estimator into per-entity dose effects on the grid."""
+MISE_GRID_POINTS = 101
+
+
+def cade_and_mise(
+    est: Estimator, data: Dataset, delta: int, gt: GroundTruth | None = None
+) -> tuple[CadeMatrix, float | None]:
+    """The dose-effect matrix and, given the ground truth, the MISE, both from
+    one ``predict_mu`` on the dose grid followed by the MISE grid.
+
+    An estimator's prediction at one (row, dose) cell does not depend on the
+    other doses queried with it, so both equal ``cade_matrix`` and ``mise``
+    bit for bit. The grids are concatenated, not merged: their doses near
+    0.7 differ by one ulp.
+    """
     grid = dose_grid(delta)
-    mu = est.predict_mu(grid, data.covariates.features)
-    tau = np.clip(mu - mu[:, [0]], -1.0, 1.0)
+    doses = grid if gt is None else np.concatenate([grid, _mise_grid()])
+    mu = est.predict_mu(doses, data.covariates.features)
+    tau = np.clip(mu[:, : grid.size] - mu[:, [0]], -1.0, 1.0)
     tau[:, 0] = 0.0
     provenance = "ground-truth" if est.kind == "oracle" else "estimated"
-    return CadeMatrix(values=tau, doses=grid, provenance=provenance)
+    matrix = CadeMatrix(values=tau, doses=grid, provenance=provenance)
+    return matrix, None if gt is None else _mise_of(mu[:, grid.size :], gt, data)
+
+
+def cade_matrix(est: Estimator, data: Dataset, delta: int) -> CadeMatrix:
+    """Discretize the estimator into per-entity dose effects on the grid."""
+    return cade_and_mise(est, data, delta)[0]
 
 
 def _trapezoid(values: np.ndarray, h: float) -> np.ndarray:
@@ -199,18 +219,21 @@ def _trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     return h * (values[..., 0] * 0.5 + values[..., 1:-1].sum(axis=-1) + values[..., -1] * 0.5)
 
 
-MISE_GRID_POINTS = 101
+def _mise_grid() -> np.ndarray:
+    return np.linspace(0.0, 1.0, MISE_GRID_POINTS)
+
+
+def _mise_of(mu_hat: np.ndarray, gt: GroundTruth, data: Dataset) -> float:
+    mu_true = true_cadr_grid(gt, _mise_grid(), data.covariates.features)
+    sq = (mu_true - mu_hat) ** 2
+    per_row = _trapezoid(sq, 1.0 / (MISE_GRID_POINTS - 1))
+    return float(per_row.mean())
 
 
 def mise(est: Estimator, gt: GroundTruth, data: Dataset) -> float:
     """Mean integrated squared error of the estimated dose-response curves,
     by the trapezoid rule on ``MISE_GRID_POINTS`` equally spaced doses."""
-    grid = np.linspace(0.0, 1.0, MISE_GRID_POINTS)
-    mu_true = true_cadr_grid(gt, grid, data.covariates.features)
-    mu_hat = est.predict_mu(grid, data.covariates.features)
-    sq = (mu_true - mu_hat) ** 2
-    per_row = _trapezoid(sq, 1.0 / (MISE_GRID_POINTS - 1))
-    return float(per_row.mean())
+    return _mise_of(est.predict_mu(_mise_grid(), data.covariates.features), gt, data)
 
 
 def cross_validate_rf(

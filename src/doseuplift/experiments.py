@@ -26,8 +26,13 @@ from .datagen import (
     load_covariates,
     synth_covariates,
 )
-from .estimators import (
+from ._fork import fork_map
+
+# mise is not called here; it stays in this namespace only because the
+# benchmark's tracer (perfbench/tracing.py) patches it here.
+from .estimators import (  # noqa: F401
     RfConfig,
+    cade_and_mise,
     cade_matrix,
     cross_validate_rf,
     fit_binned_slearner,
@@ -272,6 +277,8 @@ def benefit_vector(cfg: ExperimentConfig, n: int) -> np.ndarray:
 
 
 def _area_grid(cfg: ExperimentConfig) -> np.ndarray:
+    if not cfg.auuc_caps:
+        raise ConfigError("auuc_caps must not be empty: exp1 reports an area per cap")
     cap = max(cfg.auuc_caps)
     step = cfg.auuc_step
     for c in cfg.auuc_caps:
@@ -289,39 +296,51 @@ def _slice_curve(curve: ValueCurve, cap: float) -> ValueCurve:
 # experiment 1: estimator comparison
 # ---------------------------------------------------------------------------
 
+def _exp1_scores(est, cfg: ExperimentConfig, ds: Dataset, gt, true_cade, grid) -> tuple:
+    """``(mise, {solver: value curve})`` of one exp1 row; ``est=None`` is the
+    full-information row, whose MISE is None.
+
+    Each curve solves on the row's own dose-effect matrix and scores on the
+    true one. An estimator whose matrix equals the true one gets None for
+    its curves: they are the full-information curves, the same solves
+    scored on the same matrix.
+    """
+    if est is None:
+        est_cade, err = true_cade, None
+    else:
+        est_cade, err = cade_and_mise(est, ds, cfg.delta, gt)
+        if np.array_equal(est_cade.values, true_cade.values):
+            return err, None
+    prob = make_problem(est_cade, budget=0.0, groups=ds.protected)
+    curves = {
+        solver: value_curve(prob, grid, solver=solver, evaluation=true_cade)
+        for solver in ("greedy", "exact")
+    }
+    return err, curves
+
+
 def run_exp1(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     """MISE plus normalized curve areas per estimator, greedy and exact.
 
     Areas are normalized per allocation method: each method's curve under an
     estimator is divided by the same method's full-information curve, so the
-    oracle row reads 1.0 in every column by construction.
+    oracle row reads 1.0 in every column by construction. Every estimator is
+    built here first; then the full-information row and each estimator's row
+    are scored in forked workers (``fork_map``), and the table is written here.
     """
+    grid = _area_grid(cfg)
     ds, gt = dataset_from_config(cfg)
     true_cade = cade_matrix(oracle_estimator(gt), ds, cfg.delta)
-    grid = _area_grid(cfg)
-
-    opt_curves = {
-        solver: value_curve(
-            make_problem(true_cade, budget=0.0, groups=ds.protected), grid, solver=solver
-        )
-        for solver in ("greedy", "exact")
-    }
+    ests = [build_estimator(name, cfg, ds, gt) for name in cfg.estimators]
+    (_, opt_curves), *scores = fork_map(
+        _exp1_scores, [None, *ests], cfg, ds, gt, true_cade, grid
+    )
 
     rows = []
-    for name in cfg.estimators:
-        est = build_estimator(name, cfg, ds, gt)
-        est_cade = cade_matrix(est, ds, cfg.delta)
-        row = [name, _fmt(mise(est, gt, ds))]
+    for name, (err, presc_curves) in zip(cfg.estimators, scores):
+        presc_curves = presc_curves or opt_curves
+        row = [name, _fmt(err)]
         # one curve per solver over the full grid; each cap reads a prefix of it
-        presc_curves = {
-            solver: value_curve(
-                make_problem(est_cade, budget=0.0, groups=ds.protected),
-                grid,
-                solver=solver,
-                evaluation=true_cade,
-            )
-            for solver in ("greedy", "exact")
-        }
         for cap in cfg.auuc_caps:
             for solver in ("greedy", "exact"):
                 presc = _slice_curve(presc_curves[solver], cap)

@@ -3,21 +3,20 @@
 Determinism contract: per-tree RNG streams derive from (seed, tree index),
 and training rows are canonically sorted before fitting, so predictions do
 not depend on tree build order or on the row order of the training data.
-Each tree is built independently of the others: ``fit`` hands tree indices
-to one forked worker process per CPU the process may run on (capped at the
-tree count) and puts the trees back in index order, so the forest is the
-same bytes as one built tree by tree in the calling process, which is what
-``fit`` does with one CPU, one tree, no ``fork`` start method or a daemon
-caller (a ``multiprocessing`` pool worker cannot have children).
+Each tree is built independently of the others: ``fit`` maps the tree
+indices over ``_fork.fork_map``, which builds them in forked worker
+processes, one per CPU, or tree by tree in the calling process, and returns
+them in index order, so the forest is the same bytes on either path.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._fork import fork_map
 
 FOREST_FORMAT = "doseuplift-forest/1"
 
@@ -196,43 +195,10 @@ def _tree_rng(cfg: RfConfig, t: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, t])
 
 
-_worker_data = None  # (x_mat, y, cfg), set in each forked worker only
-
-
-def _set_worker_data(*data) -> None:
-    global _worker_data
-    _worker_data = data
-
-
-def _worker_tree_arrays(t: int) -> tuple:
-    x_mat, y, cfg = _worker_data
+def _tree_arrays(t: int, x_mat, y, cfg: RfConfig) -> tuple:
+    """The flat arrays of tree ``t``, which pickle back from a worker."""
     tree = _build_tree(x_mat, y, cfg, _tree_rng(cfg, t))
     return tree.feature, tree.threshold, tree.left, tree.right, tree.value
-
-
-def _build_trees(x_mat, y, cfg: RfConfig) -> list[_Tree]:
-    """Every tree of the forest, in tree-index order."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, cfg.n_trees)
-    if workers > 1:
-        import multiprocessing
-
-        forkable = "fork" in multiprocessing.get_all_start_methods()
-        if forkable and not multiprocessing.current_process().daemon:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork, not spawn: the workers inherit the rows, the config and any
-            # patched module function without pickling (initargs included).
-            # The pool forks all its workers before it starts its own thread.
-            # Leaving the pool joins every worker, also when a tree raises.
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_set_worker_data,
-                initargs=(x_mat, y, cfg),
-            ) as pool:
-                return [_Tree(*a) for a in pool.map(_worker_tree_arrays, range(cfg.n_trees))]
-    return [_build_tree(x_mat, y, cfg, _tree_rng(cfg, t)) for t in range(cfg.n_trees)]
 
 
 def _canonical_order(x_mat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -259,7 +225,8 @@ class RandomForestRegressor:
         x_mat = np.ascontiguousarray(x_mat[order])
         y = y[order]
         self.n_features = x_mat.shape[1]
-        self.trees = _build_trees(x_mat, y, self.config)
+        arrays = fork_map(_tree_arrays, range(self.config.n_trees), x_mat, y, self.config)
+        self.trees = [_Tree(*a) for a in arrays]
         return self
 
     def _checked_rows(self, x_mat, n_columns: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from doseuplift.estimators import (
     CadeMatrix,
     Estimator,
     RfConfig,
+    cade_and_mise,
     cade_matrix,
     cross_validate_rf,
     fit_binned_slearner,
@@ -170,6 +171,26 @@ def test_constant_estimator_gives_zero_matrix(small_data):
     ds, _ = small_data
     m = cade_matrix(_ConstantEstimator(0.4), ds, delta=6)
     assert np.all(m.values == 0.0)
+
+
+@pytest.mark.parametrize("delta", [4, 7, 10])
+def test_cade_and_mise_match_one_predict_per_grid(small_data, delta):
+    # one predict on both grids gives the bits of one predict per grid
+    ds, gt = small_data
+    for est in (
+        oracle_estimator(gt),
+        fit_rf_slearner(ds, RfConfig(n_trees=6, seed=3)),
+        fit_binned_slearner(ds, dose_bins=7, k=5),
+    ):
+        matrix, err = cade_and_mise(est, ds, delta, gt)
+        want = cade_matrix(est, ds, delta)
+        assert np.array_equal(matrix.values, want.values)
+        assert np.array_equal(matrix.doses, want.doses)
+        assert matrix.provenance == want.provenance
+        assert err == mise(est, gt, ds)
+        assert cade_and_mise(est, ds, delta)[1] is None
+    # why the grids are concatenated, not merged
+    assert dose_grid(10)[7] != np.linspace(0.0, 1.0, MISE_GRID_POINTS)[70]
 
 
 def test_cade_matrix_rejects_nonzero_first_column():

@@ -2,12 +2,13 @@
 
 import csv
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from doseuplift import alloc
+from doseuplift import alloc, experiments
 from doseuplift.cli import main
 from doseuplift.experiments import (
     ConfigError,
@@ -24,6 +25,8 @@ from doseuplift.experiments import (
     run_exp3,
     run_scalability,
 )
+
+from .test_forest import _set_cpus, pools  # noqa: F401  (pools is a fixture)
 
 
 def _tiny(**kw):
@@ -171,6 +174,62 @@ def test_exp1_writes_metadata_sidecar(tmp_path):
 def test_exp1_rejects_cap_not_on_step(tmp_path):
     with pytest.raises(ConfigError):
         run_exp1(_tiny(auuc_caps=(3.0,), auuc_step=2.0), tmp_path)
+
+
+def test_exp1_refuses_empty_auuc_caps(tmp_path):
+    cfg = parse_config("data = synthetic:40\nauuc_caps = ,\n")
+    assert cfg.auuc_caps == ()
+    with pytest.raises(ConfigError, match="auuc_caps must not be empty"):
+        run_exp1(cfg, tmp_path)
+
+
+def _exp1_bytes(cfg, out_dir):
+    path = run_exp1(cfg, out_dir)
+    return path.read_bytes(), Path(str(path) + ".meta").read_bytes()
+
+
+def test_exp1_forked_rows_match_serial(tmp_path, monkeypatch, pools):  # noqa: F811
+    cfg = _tiny(estimators=("rf", "binned", "oracle"), rf_trees=(6,))
+    _set_cpus(monkeypatch, 1)
+    serial = _exp1_bytes(cfg, tmp_path / "serial")
+    assert pools == []
+    _set_cpus(monkeypatch, 2)
+    assert _exp1_bytes(cfg, tmp_path / "forked") == serial
+    assert pools == [2, 2]  # the forest fit's pool, then the rows' pool
+    assert multiprocessing.active_children() == []
+
+
+def test_exp1_duplicate_estimator_names_keep_one_row_each(tmp_path, monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    cfg = _tiny(estimators=parse_config("estimators = oracle,oracle\n").estimators)
+    _, rows = _read_csv(run_exp1(cfg, tmp_path))
+    assert [r[0] for r in rows] == ["oracle", "oracle"]
+    assert rows[0] == rows[1]
+
+
+def _failing_curve(*args, **kwargs):
+    raise FloatingPointError("curve failed")
+
+
+def test_exp1_row_error_surfaces_and_workers_are_joined(tmp_path, monkeypatch, pools):  # noqa: F811
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "value_curve", _failing_curve)
+    with pytest.raises(FloatingPointError, match="curve failed"):
+        run_exp1(_tiny(estimators=("binned", "oracle")), tmp_path)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "exp1_results.csv").exists()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_exp1_in_a_daemon_pool_worker_matches_serial(tmp_path, monkeypatch):
+    cfg = _tiny(estimators=("rf", "oracle"), rf_trees=(4,))
+    _set_cpus(monkeypatch, 1)
+    serial = _exp1_bytes(cfg, tmp_path / "serial")
+    _set_cpus(monkeypatch, 2)  # the pool worker inherits two CPUs, but is a daemon
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_exp1_bytes, (cfg, tmp_path / "daemon")).get(timeout=60)
+    assert got == serial
 
 
 # ---------------------------------------------------------------------------
