@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiments
@@ -60,11 +60,6 @@ def _cmd_generate(args) -> int:
     save_dataset(ds, out / "dataset.csv")
     (out / "groundtruth.json").write_text(gt.to_json())
     print(f"wrote {out}/dataset.csv ({ds.n} rows) and groundtruth.json")
-    if gt.dose_guard_count or gt.outcome_guard_count:
-        print(
-            f"denominator guards applied: dose={gt.dose_guard_count} "
-            f"outcome={gt.outcome_guard_count}"
-        )
     return 0
 
 
@@ -140,40 +135,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Continuous-treatment uplift modeling and dose allocation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    gen, rf = GenConfig(), RfConfig()
 
     p = sub.add_parser("generate", help="generate a semi-synthetic dataset")
     _add_data_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument(
         "--header", choices=["auto", "yes", "no"], default="auto",
         help="whether the covariate CSV has a header row",
     )
-    p.add_argument("--gamma", type=float, default=gen.gamma)
-    p.add_argument("--gamma-scale", type=float, default=gen.gamma_scale)
-    p.add_argument("--protected-feature", type=int, default=gen.protected_feature)
-    p.add_argument("--treatment-noise-variance", type=float, default=gen.treatment_noise_variance)
-    p.add_argument("--outcome-noise-variance", type=float, default=gen.outcome_noise_variance)
+    for f in fields(GenConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("fit", help="fit an estimator; export its dose-effect matrix")
     p.add_argument("--data", required=True, help="dataset CSV from `generate`")
     p.add_argument("--estimator", default="rf", choices=["rf", "binned", "oracle"])
     p.add_argument("--groundtruth", help="groundtruth.json (oracle, or to report error)")
-    p.add_argument("--delta", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=int, default=ExperimentConfig.delta)
+    p.add_argument("--seed", type=int, default=GenConfig.seed)
     p.add_argument("--out", default="out")
-    p.add_argument("--protected-feature", type=int, default=gen.protected_feature)
-    p.add_argument("--trees", type=int, default=rf.n_trees)
-    p.add_argument("--max-depth", type=int, default=rf.max_depth)
-    p.add_argument("--min-samples-leaf", type=int, default=rf.min_samples_leaf)
+    p.add_argument("--protected-feature", type=int, default=GenConfig.protected_feature)
+    p.add_argument("--trees", type=int, default=RfConfig.n_trees)
+    p.add_argument("--max-depth", type=int, default=RfConfig.max_depth)
+    p.add_argument("--min-samples-leaf", type=int, default=RfConfig.min_samples_leaf)
     p.add_argument(
-        "--feature-subsample", type=parse_feature_subsample, default=rf.feature_subsample,
+        "--feature-subsample", type=parse_feature_subsample, default=RfConfig.feature_subsample,
         help="sqrt | all | an integer count",
     )
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--neighbors", type=int, default=10)
+    p.add_argument("--bins", type=int, default=ExperimentConfig.binned_bins)
+    p.add_argument("--neighbors", type=int, default=ExperimentConfig.binned_neighbors)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("allocate", help="solve a problem directory (cade/cost/meta)")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,11 @@ CONTINUOUS_COLS = (0, 1, 2, 4, 5)
 BINARY_COLS_1 = (3, 6, 7, 8, 9, 10, 11, 12, 13, 14)
 BINARY_COLS_2 = (15, 16, 17, 18, 19, 20, 21, 22, 23, 24)
 
-# Denominators in the generator can vanish off the unit feature range; they
-# are floored at sign * DENOM_GUARD and the affected row count is reported.
+# Denominators in the generator can vanish off the unit feature range, which only
+# queries of rows outside the generating table reach; they floor at sign * DENOM_GUARD.
 DENOM_GUARD = 1e-6
+
+GROUNDTRUTH_FORMAT = "doseuplift-groundtruth/1"
 
 
 class CovariateError(ValueError):
@@ -178,8 +180,6 @@ class GroundTruth:
     scaling: FeatureScaling
     y_min: float
     y_max: float
-    dose_guard_count: int = 0
-    outcome_guard_count: int = 0
 
     def __post_init__(self):
         for name in ("c1", "c2", "gamma", "gamma_scale", "y_min", "y_max"):
@@ -191,51 +191,29 @@ class GroundTruth:
                 f"protected_feature must be one of {sorted(c + 1 for c in BINARY_COLS_1)}, "
                 f"got {self.protected_feature!r}"
             )
-        for name in ("dose_guard_count", "outcome_guard_count"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 0:
-                raise GenerationError(f"{name} must be a non-negative int, got {v!r}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format": "doseuplift-groundtruth/1",
-                "c1": self.c1,
-                "c2": self.c2,
-                "gamma": self.gamma,
-                "gamma_scale": self.gamma_scale,
-                "protected_feature": self.protected_feature,
-                "scaling_min": list(self.scaling.col_min),
-                "scaling_max": list(self.scaling.col_max),
-                "y_min": self.y_min,
-                "y_max": self.y_max,
-                "dose_guard_count": self.dose_guard_count,
-                "outcome_guard_count": self.outcome_guard_count,
-            },
-            indent=2,
-        )
+        obj = {"format": GROUNDTRUTH_FORMAT}
+        for f in fields(self):
+            if f.name == "scaling":
+                obj["scaling_min"] = list(self.scaling.col_min)
+                obj["scaling_max"] = list(self.scaling.col_max)
+            else:
+                obj[f.name] = getattr(self, f.name)
+        return json.dumps(obj, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
+        """A missing or malformed field fails validation by name; other keys are ignored."""
         obj = json.loads(text)
-        if obj.get("format") != "doseuplift-groundtruth/1":
+        if obj.get("format") != GROUNDTRUTH_FORMAT:
             raise ValueError("unrecognized ground-truth file format")
         for name in ("scaling_min", "scaling_max"):
             if not isinstance(obj.get(name), list):
                 raise GenerationError(f"{name} must be a list of numbers, got {obj.get(name)!r}")
+        scaling = FeatureScaling(tuple(obj["scaling_min"]), tuple(obj["scaling_max"]))
         return cls(
-            c1=obj.get("c1"),
-            c2=obj.get("c2"),
-            gamma=obj.get("gamma"),
-            gamma_scale=obj.get("gamma_scale"),
-            protected_feature=obj.get("protected_feature"),
-            scaling=FeatureScaling(
-                col_min=tuple(obj["scaling_min"]), col_max=tuple(obj["scaling_max"])
-            ),
-            y_min=obj.get("y_min"),
-            y_max=obj.get("y_max"),
-            dose_guard_count=obj.get("dose_guard_count", 0),
-            outcome_guard_count=obj.get("outcome_guard_count", 0),
+            **{f.name: scaling if f.name == "scaling" else obj.get(f.name) for f in fields(cls)}
         )
 
 
@@ -320,11 +298,12 @@ def generate_dataset(cov: CovariateTable, cfg: GenConfig) -> tuple[Dataset, Grou
     dose_rng = np.random.default_rng([cfg.seed, 1])
     out_rng = np.random.default_rng([cfg.seed, 2])
 
-    score, dose_guards = _dose_score(u_mat, c2)
+    # the generating table's unit features lie in [0, 1]: no denominator is floored
+    score, _ = _dose_score(u_mat, c2)
     dose_noise = dose_rng.normal(0.0, np.sqrt(cfg.treatment_noise_variance), size=cov.n)
     doses = _squash_dose(score + dose_noise)
 
-    base, out_guards = _outcome_base(u_mat, doses, c1, pairwise=True)
+    base, _ = _outcome_base(u_mat, doses, c1, pairwise=True)
     raw = base * _group_factor(cfg.gamma, cfg.gamma_scale, protected)
     raw = raw + out_rng.normal(0.0, np.sqrt(cfg.outcome_noise_variance), size=cov.n)
 
@@ -342,8 +321,6 @@ def generate_dataset(cov: CovariateTable, cfg: GenConfig) -> tuple[Dataset, Grou
         scaling=scaling,
         y_min=y_min,
         y_max=y_max,
-        dose_guard_count=dose_guards,
-        outcome_guard_count=out_guards,
     )
     ds = Dataset(covariates=cov, doses=doses, outcomes=outcomes, protected=protected)
     return ds, gt
@@ -399,6 +376,19 @@ def synth_covariates(n: int, seed: int) -> CovariateTable:
     return CovariateTable(features=feats)
 
 
+def _parse_numbers(cells: list[str], where: str) -> list[float]:
+    """The cells as floats; a bad cell fails naming ``where`` and its 1-based column."""
+    out = []
+    for c_idx, cell in enumerate(cells):
+        try:
+            out.append(float(cell))
+        except ValueError:
+            raise CovariateError(
+                f"{where}, column {c_idx + 1}: cannot parse {cell.strip()!r} as a number"
+            ) from None
+    return out
+
+
 def _looks_like_header(row: list[str]) -> bool:
     for cell in row:
         try:
@@ -428,16 +418,7 @@ def load_covariates(path: str | Path, has_header: bool | None = None) -> Covaria
                 raise CovariateError(
                     f"row {r_idx + 1}: expected >= {N_FEATURES} columns, got {len(row)}"
                 )
-            parsed = []
-            for c_idx in range(N_FEATURES):
-                cell = row[c_idx].strip()
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise CovariateError(
-                        f"row {r_idx + 1}, column {c_idx + 1}: cannot parse {cell!r} as a number"
-                    ) from None
-            rows.append(parsed)
+            rows.append(_parse_numbers(row[:N_FEATURES], f"row {r_idx + 1}"))
     if not rows:
         raise CovariateError(f"{path}: no data rows")
 
@@ -487,26 +468,23 @@ def load_dataset(path: str | Path, protected_feature: int = 7) -> Dataset:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != DATASET_HEADER:
             raise CovariateError(f"{path}: not a dataset CSV (unexpected header)")
-        feats, protected, doses, outcomes = [], [], [], []
-        for r_idx, row in enumerate(reader):
+        rows = []
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(DATASET_HEADER):
                 raise CovariateError(
-                    f"row {r_idx + 2}: expected {len(DATASET_HEADER)} columns, got {len(row)}"
+                    f"{where}: expected {len(DATASET_HEADER)} columns, got {len(row)}"
                 )
-            vals = [float(v) for v in row]
-            feats.append(vals[:N_FEATURES])
-            protected.append(int(vals[N_FEATURES]))
-            doses.append(vals[N_FEATURES + 1])
-            outcomes.append(vals[N_FEATURES + 2])
-    cov = CovariateTable(features=np.asarray(feats))
-    protected_arr = np.asarray(protected, dtype=int)
-    if not np.array_equal(protected_arr, cov.features[:, protected_feature - 1].astype(int)):
+            rows.append(_parse_numbers(row, where))
+    if not rows:
+        raise CovariateError(f"{path}: no data rows")
+    table = np.asarray(rows)
+    # contiguous copies: a reduction over a strided view may sum in another order
+    group, doses, outcomes = table[:, N_FEATURES:].T.copy()
+    cov = CovariateTable(features=table[:, :N_FEATURES].copy())
+    protected = group.astype(int)
+    if not np.array_equal(protected, cov.features[:, protected_feature - 1].astype(int)):
         raise CovariateError(
             f"group column does not match covariate column {protected_feature}"
         )
-    return Dataset(
-        covariates=cov,
-        doses=np.asarray(doses),
-        outcomes=np.asarray(outcomes),
-        protected=protected_arr,
-    )
+    return Dataset(covariates=cov, doses=doses, outcomes=outcomes, protected=protected)

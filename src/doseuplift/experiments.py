@@ -52,20 +52,20 @@ class ExperimentConfig:
     """Flat experiment configuration; every field maps to one config-file key."""
 
     data: str = "synthetic:747"
-    seed: int = 0
+    seed: int = GenConfig.seed
     subsample: int = 0
     delta: int = 10
-    treatment_noise_variance: float = 0.25
-    outcome_noise_variance: float = 0.25
-    gamma: float = 0.0
-    gamma_scale: float = 0.1
-    protected_feature: int = 7
+    treatment_noise_variance: float = GenConfig.treatment_noise_variance
+    outcome_noise_variance: float = GenConfig.outcome_noise_variance
+    gamma: float = GenConfig.gamma
+    gamma_scale: float = GenConfig.gamma_scale
+    protected_feature: int = GenConfig.protected_feature
     estimators: tuple[str, ...] = ("rf", "binned", "oracle")
     estimator: str = "oracle"
-    rf_trees: tuple[int, ...] = (200,)
-    rf_max_depth: tuple[int | None, ...] = (15,)
-    rf_min_samples_leaf: tuple[int, ...] = (2,)
-    rf_feature_subsample: str | int = "sqrt"
+    rf_trees: tuple[int, ...] = (RfConfig.n_trees,)
+    rf_max_depth: tuple[int | None, ...] = (RfConfig.max_depth,)
+    rf_min_samples_leaf: tuple[int, ...] = (RfConfig.min_samples_leaf,)
+    rf_feature_subsample: str | int = RfConfig.feature_subsample
     cv_folds: int = 0
     binned_bins: int = 10
     binned_neighbors: int = 10
@@ -375,6 +375,11 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     for gamma in cfg.gammas:
         gcfg = replace(cfg, gamma=gamma)
         ds, gt = dataset_from_config(gcfg)
+        if np.unique(ds.protected).size < 2:
+            raise ConfigError(
+                f"protected_feature = {cfg.protected_feature}: the subsample of {ds.n} rows "
+                f"has one group only; exp2 compares two"
+            )
         true_cade = cade_matrix(oracle_estimator(gt), ds, cfg.delta)
         est = build_estimator(cfg.estimator, gcfg, ds, gt)
         est_cade = cade_matrix(est, ds, cfg.delta)
@@ -526,7 +531,7 @@ def run_scalability(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
             _fmt(greedy.objective),
         ]
         if factor <= cfg.exact_max_factor:
-            exact = solve_bnb(prob)
+            exact = solve_bnb(prob, node_limit=cfg.bnb_node_limit)
             row += [
                 exact.status,
                 str(exact.nodes),

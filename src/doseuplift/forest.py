@@ -12,7 +12,7 @@ them in index order, so the forest is the same bytes on either path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class RfConfig:
 class _Tree:
     """Flat-array CART tree; feature == -1 marks a leaf."""
 
+    # the slots are the keys of a tree in the forest file, in file order
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
     def __init__(self, feature, threshold, left, right, value):
@@ -198,7 +199,7 @@ def _tree_rng(cfg: RfConfig, t: int) -> np.random.Generator:
 def _tree_arrays(t: int, x_mat, y, cfg: RfConfig) -> tuple:
     """The flat arrays of tree ``t``, which pickle back from a worker."""
     tree = _build_tree(x_mat, y, cfg, _tree_rng(cfg, t))
-    return tree.feature, tree.threshold, tree.left, tree.right, tree.value
+    return tuple(getattr(tree, name) for name in _Tree.__slots__)
 
 
 def _canonical_order(x_mat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -259,27 +260,13 @@ class RandomForestRegressor:
         return grid
 
     def to_json(self) -> str:
-        cfg = self.config
         return json.dumps(
             {
                 "format": FOREST_FORMAT,
-                "config": {
-                    "n_trees": cfg.n_trees,
-                    "max_depth": cfg.max_depth,
-                    "min_samples_leaf": cfg.min_samples_leaf,
-                    "feature_subsample": cfg.feature_subsample,
-                    "bootstrap": cfg.bootstrap,
-                    "seed": cfg.seed,
-                },
+                "config": asdict(self.config),
                 "n_features": self.n_features,
                 "trees": [
-                    {
-                        "feature": t.feature.tolist(),
-                        "threshold": t.threshold.tolist(),
-                        "left": t.left.tolist(),
-                        "right": t.right.tolist(),
-                        "value": t.value.tolist(),
-                    }
+                    {name: getattr(t, name).tolist() for name in _Tree.__slots__}
                     for t in self.trees
                 ],
             }
@@ -290,20 +277,7 @@ class RandomForestRegressor:
         obj = json.loads(text)
         if obj.get("format") != FOREST_FORMAT:
             raise ValueError("unrecognized forest file format")
-        cfg = obj["config"]
-        forest = cls(
-            RfConfig(
-                n_trees=cfg["n_trees"],
-                max_depth=cfg["max_depth"],
-                min_samples_leaf=cfg["min_samples_leaf"],
-                feature_subsample=cfg["feature_subsample"],
-                bootstrap=cfg["bootstrap"],
-                seed=cfg["seed"],
-            )
-        )
+        forest = cls(RfConfig(**obj["config"]))
         forest.n_features = obj["n_features"]
-        forest.trees = [
-            _Tree(t["feature"], t["threshold"], t["left"], t["right"], t["value"])
-            for t in obj["trees"]
-        ]
+        forest.trees = [_Tree(**t) for t in obj["trees"]]
         return forest

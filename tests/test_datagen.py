@@ -312,6 +312,22 @@ def test_dataset_rejects_nan_doses_and_outcomes(tmp_path, column):
         load_dataset(path)
 
 
+def test_load_dataset_names_file_line_and_column(tmp_path):
+    ds, _ = generate_dataset(synth_covariates(20, seed=5), GenConfig(seed=5))
+    path = tmp_path / "data.csv"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[26] = "x"  # the dose column s
+    path.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
+    with pytest.raises(CovariateError, match=r"data\.csv:4, column 27: cannot parse 'x'"):
+        load_dataset(path)
+
+    path.write_text(lines[0] + "\n")
+    with pytest.raises(CovariateError, match=r"data\.csv: no data rows"):
+        load_dataset(path)
+
+
 # ---------------------------------------------------------------------------
 # ground-truth queries
 # ---------------------------------------------------------------------------
@@ -331,6 +347,21 @@ def test_ground_truth_json_roundtrip_rejects_missing_or_non_finite_bounds():
                 GroundTruth.from_json(json.dumps(broken))
 
 
+def test_ground_truth_json_keys_and_legacy_guard_counts():
+    for seed in (0, 3, 2024):
+        _, gt = generate_dataset(synth_covariates(50, seed=seed), GenConfig(seed=seed))
+        text = gt.to_json()
+        assert GroundTruth.from_json(text) == gt
+        obj = json.loads(text)
+        assert list(obj) == [
+            "format", "c1", "c2", "gamma", "gamma_scale", "protected_feature",
+            "scaling_min", "scaling_max", "y_min", "y_max",
+        ]
+        # files written before the guard counts were dropped still load
+        legacy = {**obj, "dose_guard_count": 0, "outcome_guard_count": 0}
+        assert GroundTruth.from_json(json.dumps(legacy, indent=2)) == gt
+
+
 @pytest.mark.parametrize(
     "field, bad",
     [
@@ -348,8 +379,6 @@ def test_ground_truth_json_roundtrip_rejects_missing_or_non_finite_bounds():
         ("scaling_max", [1.0, 1.0, 1.0, 1.0]),
         ("scaling_max", [1.0, 1.0, 1.0, 1.0, None]),
         ("scaling_max", [-100.0] * 5),  # below scaling_min
-        ("dose_guard_count", -1),
-        ("outcome_guard_count", 1.5),
     ],
 )
 def test_ground_truth_json_rejects_bad_fields(field, bad):

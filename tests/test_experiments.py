@@ -3,6 +3,7 @@
 import csv
 import json
 import multiprocessing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,18 @@ def test_exp2_rf_shows_estimation_gap(tmp_path):
     assert max(gaps) > 1e-6
 
 
+def test_exp2_refuses_one_group_before_solving(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("exp2 solved a one-group subsample")
+
+    monkeypatch.setattr(experiments, "solve_exact_sweep", no_solve)
+    cfg = _tiny(data="synthetic:40", subsample=3, seed=0)
+    assert np.unique(dataset_from_config(cfg)[0].protected).size == 1
+    with pytest.raises(ConfigError, match="protected_feature = 7: .* has one group"):
+        run_exp2(cfg, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_exp2_one_file_per_gamma(tmp_path):
     cfg = _tiny(gammas=(0.0, 2.0), eps_dt_grid=(1.0,), eps_do_grid=(1.0,), budgets=(2.0,))
     paths = run_exp2(cfg, tmp_path)
@@ -352,6 +365,14 @@ def test_scalability_table(tmp_path):
     assert rows[0][4] == "optimal"
     assert rows[1][4] == "skipped"
     assert float(rows[0][2]) > 0  # greedy wall time recorded
+
+
+def test_scalability_honours_node_limit(tmp_path):
+    cfg = ExperimentConfig(data="synthetic:60", factors=(1,), sweep_budget=8.0)
+    _, rows = _read_csv(run_scalability(cfg, tmp_path / "full"))
+    assert rows[0][4] == "optimal" and int(rows[0][5]) > 1
+    _, rows = _read_csv(run_scalability(replace(cfg, bnb_node_limit=1), tmp_path / "one"))
+    assert rows[0][4:6] == ["limit", "1"]
 
 
 def test_delta_sweep_nested_grid_dominance(tmp_path):

@@ -3,6 +3,7 @@ fit against their references."""
 
 import concurrent.futures
 import dataclasses
+import json
 import multiprocessing
 import os
 import subprocess
@@ -89,18 +90,33 @@ def gen_data():
     return ds
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        RfConfig(n_trees=6, seed=3),
-        RfConfig(n_trees=4, max_depth=None, min_samples_leaf=1, feature_subsample="all", seed=8),
-        RfConfig(n_trees=3, min_samples_leaf=3, feature_subsample=2, bootstrap=False, seed=1),
-    ],
-)
+# every field kind: unlimited depth, an integer feature count, no bootstrap
+_FOREST_CONFIGS = [
+    RfConfig(n_trees=6, seed=3),
+    RfConfig(n_trees=4, max_depth=None, min_samples_leaf=1, feature_subsample="all", seed=8),
+    RfConfig(n_trees=3, min_samples_leaf=3, feature_subsample=2, bootstrap=False, seed=1),
+]
+
+
+@pytest.mark.parametrize("cfg", _FOREST_CONFIGS)
 def test_fit_json_matches_oracle_split_search(gen_data, cfg, monkeypatch):
     new = fit_rf_slearner(gen_data, cfg).forest.to_json()
     monkeypatch.setattr(forest_mod, "_best_split", best_split_oracle)
     assert fit_rf_slearner(gen_data, cfg).forest.to_json() == new
+
+
+@pytest.mark.parametrize("cfg", _FOREST_CONFIGS)
+def test_forest_json_roundtrip_and_key_order(gen_data, cfg):
+    text = fit_rf_slearner(gen_data, cfg).forest.to_json()
+    loaded = RandomForestRegressor.from_json(text)
+    assert loaded.config == cfg
+    assert loaded.to_json() == text
+    obj = json.loads(text)
+    assert list(obj) == ["format", "config", "n_features", "trees"]
+    assert list(obj["config"]) == [
+        "n_trees", "max_depth", "min_samples_leaf", "feature_subsample", "bootstrap", "seed"
+    ]
+    assert all(list(t) == ["feature", "threshold", "left", "right", "value"] for t in obj["trees"])
 
 
 def _batch_predict(forest, x_mat, doses):
