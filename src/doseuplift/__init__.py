@@ -22,7 +22,6 @@ from .alloc import (
 from .datagen import (
     CovariateTable,
     Dataset,
-    FeatureScaling,
     GenConfig,
     GroundTruth,
     dose_grid,

@@ -156,7 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.add_argument("--protected-feature", type=int, default=GenConfig.protected_feature)
     p.add_argument("--trees", type=int, default=RfConfig.n_trees)
-    p.add_argument("--max-depth", type=int, default=RfConfig.max_depth)
+    p.add_argument(
+        "--max-depth", type=experiments.parse_depth, default=RfConfig.max_depth,
+        help="an integer, or none for unlimited depth",
+    )
     p.add_argument("--min-samples-leaf", type=int, default=RfConfig.min_samples_leaf)
     p.add_argument(
         "--feature-subsample", type=parse_feature_subsample, default=RfConfig.feature_subsample,

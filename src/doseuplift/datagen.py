@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,44 +46,19 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
-class FeatureScaling:
-    """Per-column affine map of the continuous features onto [0, 1].
+def _unit_features(x_mat: np.ndarray, col_min, col_max) -> np.ndarray:
+    """Map each continuous column affinely from [min, max] onto [0, 1].
 
     The generator formulas divide by expressions of the continuous features
     and behave sanely only on unit-range inputs; tables keep their z-scored
-    columns, and this map (fitted on the generating table) carries them into
-    formula space. Binary columns pass through unchanged.
+    columns, and this map (with the range of the generating table) carries
+    them into formula space. Rows off the range extrapolate; binary columns
+    pass through unchanged.
     """
-
-    col_min: tuple[float, ...]
-    col_max: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.col_min) != len(CONTINUOUS_COLS) or len(self.col_max) != len(
-            CONTINUOUS_COLS
-        ):
-            raise GenerationError("scaling needs one (min, max) per continuous column")
-        for name in ("col_min", "col_max"):
-            for v in getattr(self, name):
-                _check_finite(f"scaling {name}", v)
-        if any(hi <= lo for lo, hi in zip(self.col_min, self.col_max)):
-            raise GenerationError("degenerate scaling column: max must exceed min")
-
-    @classmethod
-    def fit(cls, features: np.ndarray) -> "FeatureScaling":
-        cols = list(CONTINUOUS_COLS)
-        return cls(
-            col_min=tuple(float(v) for v in features[:, cols].min(axis=0)),
-            col_max=tuple(float(v) for v in features[:, cols].max(axis=0)),
-        )
-
-    def unit_features(self, x_mat: np.ndarray) -> np.ndarray:
-        """Map rows into formula space; rows off the fitted range extrapolate."""
-        u = np.array(x_mat, dtype=float, copy=True)
-        for j, col in enumerate(CONTINUOUS_COLS):
-            u[:, col] = (u[:, col] - self.col_min[j]) / (self.col_max[j] - self.col_min[j])
-        return u
+    u = np.array(x_mat, dtype=float, copy=True)
+    for j, col in enumerate(CONTINUOUS_COLS):
+        u[:, col] = (u[:, col] - col_min[j]) / (col_max[j] - col_min[j])
+    return u
 
 
 @dataclass(frozen=True)
@@ -168,8 +143,9 @@ class GroundTruth:
 
     ``y_min``/``y_max`` are the min/max of the realized noisy raw outcomes of
     the generating sample; queries of the mean outcome surface are passed
-    through this affine normalization and clamped to [0, 1]. ``scaling`` is
-    the feature map fitted on the generating table.
+    through this affine normalization and clamped to [0, 1].
+    ``scaling_min``/``scaling_max`` are the continuous-column ranges of the
+    generating table, which ``_unit_features`` maps onto [0, 1].
     """
 
     c1: float
@@ -177,7 +153,8 @@ class GroundTruth:
     gamma: float
     gamma_scale: float
     protected_feature: int
-    scaling: FeatureScaling
+    scaling_min: tuple[float, ...]
+    scaling_max: tuple[float, ...]
     y_min: float
     y_max: float
 
@@ -191,16 +168,20 @@ class GroundTruth:
                 f"protected_feature must be one of {sorted(c + 1 for c in BINARY_COLS_1)}, "
                 f"got {self.protected_feature!r}"
             )
+        for name in ("scaling_min", "scaling_max"):
+            bounds = getattr(self, name)
+            if not isinstance(bounds, (list, tuple)) or len(bounds) != len(CONTINUOUS_COLS):
+                raise GenerationError(
+                    f"{name} needs one number per continuous column, got {bounds!r}"
+                )
+            for v in bounds:
+                _check_finite(name, v)
+            object.__setattr__(self, name, tuple(bounds))  # a JSON list loads as a tuple
+        if any(hi <= lo for lo, hi in zip(self.scaling_min, self.scaling_max)):
+            raise GenerationError("degenerate scaling column: max must exceed min")
 
     def to_json(self) -> str:
-        obj = {"format": GROUNDTRUTH_FORMAT}
-        for f in fields(self):
-            if f.name == "scaling":
-                obj["scaling_min"] = list(self.scaling.col_min)
-                obj["scaling_max"] = list(self.scaling.col_max)
-            else:
-                obj[f.name] = getattr(self, f.name)
-        return json.dumps(obj, indent=2)
+        return json.dumps({"format": GROUNDTRUTH_FORMAT, **asdict(self)}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
@@ -208,36 +189,23 @@ class GroundTruth:
         obj = json.loads(text)
         if obj.get("format") != GROUNDTRUTH_FORMAT:
             raise ValueError("unrecognized ground-truth file format")
-        for name in ("scaling_min", "scaling_max"):
-            if not isinstance(obj.get(name), list):
-                raise GenerationError(f"{name} must be a list of numbers, got {obj.get(name)!r}")
-        scaling = FeatureScaling(tuple(obj["scaling_min"]), tuple(obj["scaling_max"]))
-        return cls(
-            **{f.name: scaling if f.name == "scaling" else obj.get(f.name) for f in fields(cls)}
-        )
+        return cls(**{f.name: obj.get(f.name) for f in fields(cls)})
 
 
-def _guard_denominator(den: np.ndarray) -> tuple[np.ndarray, int]:
-    """Floor near-zero denominators at sign * DENOM_GUARD; count affected entries."""
+def _guard_denominator(den: np.ndarray) -> np.ndarray:
+    """Floor near-zero denominators at sign * DENOM_GUARD, zero counting as positive."""
     den = np.asarray(den, dtype=float)
-    small = np.abs(den) < DENOM_GUARD
-    if not np.any(small):
-        return den, 0
-    out = den.copy()
-    signs = np.where(den[small] >= 0, 1.0, -1.0)
-    out[small] = signs * DENOM_GUARD
-    return out, int(np.count_nonzero(small))
+    return np.where(np.abs(den) < DENOM_GUARD, np.where(den >= 0, DENOM_GUARD, -DENOM_GUARD), den)
 
 
-def _dose_score(x_mat: np.ndarray, c2: float) -> tuple[np.ndarray, int]:
+def _dose_score(x_mat: np.ndarray, c2: float) -> np.ndarray:
     """Deterministic part of the pre-squash dose score per row."""
     x1, x2 = x_mat[:, 0], x_mat[:, 1]
     trio = x_mat[:, (2, 4, 5)]
-    den1, g1 = _guard_denominator(1.0 + x2)
-    den2, g2 = _guard_denominator(0.2 + trio.min(axis=1))
+    den1 = _guard_denominator(1.0 + x2)
+    den2 = _guard_denominator(0.2 + trio.min(axis=1))
     bin2_mean = x_mat[:, BINARY_COLS_2].mean(axis=1)
-    score = x1 / den1 + trio.max(axis=1) / den2 + np.tanh(5.0 * (bin2_mean - c2)) - 2.0
-    return score, g1 + g2
+    return x1 / den1 + trio.max(axis=1) / den2 + np.tanh(5.0 * (bin2_mean - c2)) - 2.0
 
 
 def _squash_dose(score: np.ndarray) -> np.ndarray:
@@ -247,28 +215,22 @@ def _squash_dose(score: np.ndarray) -> np.ndarray:
     return np.clip(s, 1e-12, 1.0 - 1e-12)
 
 
-def _outcome_base(
-    x_mat: np.ndarray, doses: np.ndarray, c1: float, pairwise: bool
-) -> tuple[np.ndarray, int]:
-    """Noiseless raw outcome surface, before group scaling and noise.
+# The noiseless raw outcome of a row at a dose is row part * dose part * group
+# factor, multiplied in that order. It is zero at dose 0 for every row, so all
+# dose effects are measured against it.
 
-    Zero at dose 0 for every x, so all dose effects are measured against it.
-    ``pairwise=True`` pairs row i with dose i (result shape (n,));
-    ``pairwise=False`` evaluates every row at every grid dose (shape (n, m)).
-    """
+def _row_part(x_mat: np.ndarray, c1: float) -> np.ndarray:
+    """Covariate factor of the raw outcome, one per row."""
     x1, x6 = x_mat[:, 0], x_mat[:, 5]
-    trio_min = x_mat[:, (1, 2, 4)].min(axis=1)
-    den, guards = _guard_denominator(0.5 + 5.0 * trio_min)
+    den = _guard_denominator(0.5 + 5.0 * x_mat[:, (1, 2, 4)].min(axis=1))
     bin1_mean = x_mat[:, BINARY_COLS_1].mean(axis=1)
-    row_part = np.tanh(5.0 * (bin1_mean - c1)) + np.exp(0.2 * (x1 - x6)) / den
+    return np.tanh(5.0 * (bin1_mean - c1)) + np.exp(0.2 * (x1 - x6)) / den
 
+
+def _dose_part(doses: np.ndarray) -> np.ndarray:
+    """Dose factor of the raw outcome, one per dose."""
     d = np.asarray(doses, dtype=float)
-    dose_part = np.sin(3.0 * np.pi * d) / (1.2 - d)
-    if pairwise:
-        if d.shape[0] != x_mat.shape[0]:
-            raise ValueError("pairwise evaluation needs one dose per row")
-        return row_part * dose_part, guards
-    return row_part[:, None] * dose_part[None, :], guards
+    return np.sin(3.0 * np.pi * d) / (1.2 - d)
 
 
 def _group_factor(gt_gamma: float, gt_scale: float, protected: np.ndarray) -> np.ndarray:
@@ -289,8 +251,10 @@ def generate_dataset(cov: CovariateTable, cfg: GenConfig) -> tuple[Dataset, Grou
     raw outcomes, so the generated outcomes span [0, 1] exactly. Deterministic
     given (covariates, config): noise streams are derived from the seed.
     """
-    scaling = FeatureScaling.fit(cov.features)
-    u_mat = scaling.unit_features(cov.features)
+    cont = cov.features[:, list(CONTINUOUS_COLS)]
+    col_min = tuple(float(v) for v in cont.min(axis=0))
+    col_max = tuple(float(v) for v in cont.max(axis=0))
+    u_mat = _unit_features(cov.features, col_min, col_max)
     c1, c2 = empirical_constants(cov)
     pidx = cfg.protected_feature - 1
     protected = cov.features[:, pidx].astype(int)
@@ -299,12 +263,12 @@ def generate_dataset(cov: CovariateTable, cfg: GenConfig) -> tuple[Dataset, Grou
     out_rng = np.random.default_rng([cfg.seed, 2])
 
     # the generating table's unit features lie in [0, 1]: no denominator is floored
-    score, _ = _dose_score(u_mat, c2)
+    score = _dose_score(u_mat, c2)
     dose_noise = dose_rng.normal(0.0, np.sqrt(cfg.treatment_noise_variance), size=cov.n)
     doses = _squash_dose(score + dose_noise)
 
-    base, _ = _outcome_base(u_mat, doses, c1, pairwise=True)
-    raw = base * _group_factor(cfg.gamma, cfg.gamma_scale, protected)
+    group = _group_factor(cfg.gamma, cfg.gamma_scale, protected)
+    raw = _row_part(u_mat, c1) * _dose_part(doses) * group
     raw = raw + out_rng.normal(0.0, np.sqrt(cfg.outcome_noise_variance), size=cov.n)
 
     y_min, y_max = float(np.min(raw)), float(np.max(raw))
@@ -313,14 +277,9 @@ def generate_dataset(cov: CovariateTable, cfg: GenConfig) -> tuple[Dataset, Grou
     outcomes = (raw - y_min) / (y_max - y_min)
 
     gt = GroundTruth(
-        c1=c1,
-        c2=c2,
-        gamma=cfg.gamma,
-        gamma_scale=cfg.gamma_scale,
-        protected_feature=cfg.protected_feature,
-        scaling=scaling,
-        y_min=y_min,
-        y_max=y_max,
+        c1=c1, c2=c2, gamma=cfg.gamma, gamma_scale=cfg.gamma_scale,
+        protected_feature=cfg.protected_feature, scaling_min=col_min, scaling_max=col_max,
+        y_min=y_min, y_max=y_max,
     )
     ds = Dataset(covariates=cov, doses=doses, outcomes=outcomes, protected=protected)
     return ds, gt
@@ -334,10 +293,9 @@ def true_cadr_grid(gt: GroundTruth, doses: np.ndarray, x_mat: np.ndarray) -> np.
     """
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
     doses = np.atleast_1d(np.asarray(doses, dtype=float))
-    u_mat = gt.scaling.unit_features(x_mat)
-    base, _ = _outcome_base(u_mat, doses, gt.c1, pairwise=False)
-    protected = x_mat[:, gt.protected_feature - 1]
-    raw = base * _group_factor(gt.gamma, gt.gamma_scale, protected)[:, None]
+    u_mat = _unit_features(x_mat, gt.scaling_min, gt.scaling_max)
+    group = _group_factor(gt.gamma, gt.gamma_scale, x_mat[:, gt.protected_feature - 1])
+    raw = (_row_part(u_mat, gt.c1)[:, None] * _dose_part(doses)[None, :]) * group[:, None]
     mu = (raw - gt.y_min) / (gt.y_max - gt.y_min)
     return np.clip(mu, 0.0, 1.0)
 
@@ -376,15 +334,16 @@ def synth_covariates(n: int, seed: int) -> CovariateTable:
     return CovariateTable(features=feats)
 
 
-def _parse_numbers(cells: list[str], where: str) -> list[float]:
-    """The cells as floats; a bad cell fails naming ``where`` and its 1-based column."""
+def _parse_numbers(cells: list[str], where: str, first_col: int = 1) -> list[float]:
+    """The cells as floats; a bad cell fails naming ``where`` and its column,
+    counted from ``first_col`` for the first cell."""
     out = []
-    for c_idx, cell in enumerate(cells):
+    for col, cell in enumerate(cells, start=first_col):
         try:
             out.append(float(cell))
         except ValueError:
             raise CovariateError(
-                f"{where}, column {c_idx + 1}: cannot parse {cell.strip()!r} as a number"
+                f"{where}, column {col}: cannot parse {cell.strip()!r} as a number"
             ) from None
     return out
 

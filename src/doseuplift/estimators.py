@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, GroundTruth, dose_grid, true_cadr_grid
+from .datagen import Dataset, GroundTruth, _parse_numbers, dose_grid, true_cadr_grid
 from .forest import RandomForestRegressor, RfConfig
 
 __all__ = [
@@ -45,8 +45,6 @@ def _check_doses(doses) -> np.ndarray:
 class Estimator:
     """Common surface: mean-outcome predictions on a dose grid, clamped to [0, 1]."""
 
-    kind: str = "base"
-
     def predict_mu(self, doses: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
         """Return an (n_rows, n_doses) matrix of mean-outcome estimates."""
         raise NotImplementedError
@@ -54,8 +52,6 @@ class Estimator:
 
 class OracleEstimator(Estimator):
     """Full-information estimator: queries the generator's noiseless surface."""
-
-    kind = "oracle"
 
     def __init__(self, gt: GroundTruth):
         self.gt = gt
@@ -66,8 +62,6 @@ class OracleEstimator(Estimator):
 
 class RfSLearner(Estimator):
     """Single random forest over (covariates ++ dose), queried per grid dose."""
-
-    kind = "rf_slearner"
 
     def __init__(self, forest: RandomForestRegressor):
         self.forest = forest
@@ -84,8 +78,6 @@ class BinnedSLearner(Estimator):
     Queries in a stratum with no training data fall back to the global mean;
     ``diagnostics["empty_strata"]`` lists those strata, fixed at fit time.
     """
-
-    kind = "binned_slearner"
 
     def __init__(self, x_train, y_train, dose_bins, k):
         self.dose_bins = dose_bins
@@ -138,7 +130,6 @@ class CadeMatrix:
 
     values: np.ndarray
     doses: np.ndarray
-    provenance: str  # "estimated" | "ground-truth"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -204,8 +195,7 @@ def cade_and_mise(
     mu = est.predict_mu(doses, data.covariates.features)
     tau = np.clip(mu[:, : grid.size] - mu[:, [0]], -1.0, 1.0)
     tau[:, 0] = 0.0
-    provenance = "ground-truth" if est.kind == "oracle" else "estimated"
-    matrix = CadeMatrix(values=tau, doses=grid, provenance=provenance)
+    matrix = CadeMatrix(values=tau, doses=grid)
     return matrix, None if gt is None else _mise_of(mu[:, grid.size :], gt, data)
 
 
@@ -307,12 +297,13 @@ def read_dose_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     header, rows = read_entity_csv(path)
     if not header or header[0] != "entity" or not all(h.startswith("dose_") for h in header[1:]):
         raise ValueError(f"{path}:1: not a dose-labeled CSV")
-    doses = np.asarray([float(h[len("dose_"):]) for h in header[1:]])
+    # column numbers count the entity column
+    doses = np.asarray(_parse_numbers([h[len("dose_"):] for h in header[1:]], f"{path}:1", 2))
     values = []
     for line, fields in rows:
         if len(fields) != len(doses):
             raise ValueError(f"{path}:{line}: {len(fields)} values for {len(doses)} doses")
-        values.append([float(v) for v in fields])
+        values.append(_parse_numbers(fields, f"{path}:{line}", 2))
     return doses, np.asarray(values)
 
 
@@ -321,6 +312,6 @@ def save_cade_csv(matrix: CadeMatrix, path: str | Path) -> None:
     write_dose_csv(path, matrix.doses, matrix.values)
 
 
-def load_cade_csv(path: str | Path, provenance: str = "estimated") -> CadeMatrix:
+def load_cade_csv(path: str | Path) -> CadeMatrix:
     doses, values = read_dose_csv(path)
-    return CadeMatrix(values=values, doses=doses, provenance=provenance)
+    return CadeMatrix(values=values, doses=doses)

@@ -100,7 +100,7 @@ def _parse_list(text: str, kind) -> tuple:
     return tuple(kind(v.strip()) for v in text.split(",") if v.strip())
 
 
-def _parse_depth(text: str) -> int | None:
+def parse_depth(text: str) -> int | None:
     return None if text.lower() == "none" else int(text)
 
 
@@ -128,7 +128,7 @@ def _parse_range_or_list(text: str) -> tuple[float, ...]:
 
 # keys whose syntax is not implied by the type of their default
 _PARSERS = {
-    "rf_max_depth": lambda text: _parse_list(text, _parse_depth),
+    "rf_max_depth": lambda text: _parse_list(text, parse_depth),
     "rf_feature_subsample": parse_feature_subsample,
     "budgets": _parse_range_or_list,
 }
@@ -289,7 +289,7 @@ def _area_grid(cfg: ExperimentConfig) -> np.ndarray:
 
 def _slice_curve(curve: ValueCurve, cap: float) -> ValueCurve:
     mask = curve.budgets <= cap + 1e-9
-    return ValueCurve(curve.budgets[mask], curve.values[mask], curve.provenance)
+    return ValueCurve(curve.budgets[mask], curve.values[mask])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ class ValueCurve:
 
     budgets: np.ndarray
     values: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         budgets = np.asarray(self.budgets, dtype=float)
@@ -90,8 +89,7 @@ def value_curve(
     else:
         raise MetricError(f"unknown solver {solver!r}")
     values = [policy_value(r.policy, eval_cade, problem.benefits) for r in reports]
-    provenance = f"{solver}/{problem.cade.provenance}->{eval_cade.provenance}"
-    return ValueCurve(budgets=budgets, values=np.asarray(values), provenance=provenance)
+    return ValueCurve(budgets=budgets, values=np.asarray(values))
 
 
 def _area(curve: ValueCurve) -> float:

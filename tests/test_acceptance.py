@@ -63,7 +63,7 @@ def _random_instance(rng, n_max, delta_max, proportional, with_eps):
     delta = int(rng.integers(1, delta_max + 1))
     vals = rng.uniform(-0.6, 0.9, size=(n, delta + 1))
     vals[:, 0] = 0.0
-    cade = CadeMatrix(values=vals, doses=np.arange(delta + 1) / delta, provenance="estimated")
+    cade = CadeMatrix(values=vals, doses=np.arange(delta + 1) / delta)
     if proportional:
         costs = proportional_costs(cade)
     else:
@@ -118,8 +118,8 @@ def test_criterion_1_oracle_closure(bench):
     for cap in (140.0, 250.0):
         mask = grid <= cap + 1e-9
         a = auuc(
-            ValueCurve(grid[mask], presc_curve.values[mask], "presc"),
-            ValueCurve(grid[mask], opt_curve.values[mask], "opt"),
+            ValueCurve(grid[mask], presc_curve.values[mask]),
+            ValueCurve(grid[mask], opt_curve.values[mask]),
         )
         areas[cap] = a
         assert a == pytest.approx(1.0, abs=1e-9)
@@ -301,15 +301,22 @@ def test_criterion_7_learned_estimator_sanity():
     mae = float(np.abs(est.predict_mu(grid, cov.features[:50]) - grid[None, :]).mean())
     assert mae < 0.05
 
-    from doseuplift.datagen import FeatureScaling, _outcome_base, empirical_constants
+    from doseuplift.datagen import (
+        CONTINUOUS_COLS,
+        _dose_part,
+        _row_part,
+        _unit_features,
+        empirical_constants,
+    )
 
     n = 20_000
     cov2 = synth_covariates(n, seed=SEED + 1)
     rng2 = np.random.default_rng([SEED, 8])
     doses2 = rng2.uniform(0.0, 1.0, size=n)
     c1, _ = empirical_constants(cov2)
-    scaling = FeatureScaling.fit(cov2.features)
-    base, _ = _outcome_base(scaling.unit_features(cov2.features), doses2, c1, pairwise=True)
+    cont = cov2.features[:, list(CONTINUOUS_COLS)]
+    u_mat = _unit_features(cov2.features, cont.min(axis=0), cont.max(axis=0))
+    base = _row_part(u_mat, c1) * _dose_part(doses2)
     raw = base + rng2.normal(0.0, 0.5, size=n)
     y = (raw - raw.min()) / (raw.max() - raw.min())
     ds2 = Dataset(

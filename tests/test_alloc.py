@@ -40,9 +40,7 @@ from .oracles import brute_force
 def _cade(values):
     values = np.asarray(values, dtype=float)
     delta = values.shape[1] - 1
-    return CadeMatrix(
-        values=values, doses=np.arange(delta + 1) / delta, provenance="estimated"
-    )
+    return CadeMatrix(values=values, doses=np.arange(delta + 1) / delta)
 
 
 def _two_entity_problem(budget, **kw):
@@ -704,6 +702,19 @@ def test_load_problem_rejects_inconsistent_meta_rows(tmp_path):
     _saved_problem(tmp_path)
     _edit(tmp_path / "meta.csv", "1,1.0,1,1.5,", "1,1.0,1,2.5,")  # entity 1's budget
     with pytest.raises(AllocError, match=r"meta\.csv:3: budget/eps"):
+        load_problem(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["cade.csv", "cost.csv"])
+def test_load_problem_names_file_line_and_column_of_bad_cell(tmp_path, name):
+    _saved_problem(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[2] = "x"  # entity 1 at dose 0.5; column numbers count the entity column
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{name}:3, column 3: cannot parse 'x' as a number"):
         load_problem(tmp_path)
 
 

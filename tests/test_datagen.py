@@ -10,16 +10,17 @@ from doseuplift.datagen import (
     BINARY_COLS_1,
     BINARY_COLS_2,
     CONTINUOUS_COLS,
+    DENOM_GUARD,
     CovariateError,
     CovariateTable,
     Dataset,
-    FeatureScaling,
     GenConfig,
     GenerationError,
     GroundTruth,
+    _dose_part,
     _dose_score,
     _group_factor,
-    _outcome_base,
+    _row_part,
     _squash_dose,
     dose_grid,
     generate_dataset,
@@ -54,20 +55,20 @@ def _frozen_gt(c1=0.5, c2=0.5, gamma=0.0, gamma_scale=0.1, y_min=-3.0, y_max=3.0
     n = len(CONTINUOUS_COLS)
     return GroundTruth(
         c1=c1, c2=c2, gamma=gamma, gamma_scale=gamma_scale,
-        protected_feature=7, scaling=FeatureScaling(col_min=(0.0,) * n, col_max=(1.0,) * n),
+        protected_feature=7, scaling_min=(0.0,) * n, scaling_max=(1.0,) * n,
         y_min=y_min, y_max=y_max,
     )
 
 
 def _dose(x, noise, c2):
     """Dose of one formula-space row given its noise draw, as generate_dataset draws it."""
-    score, _ = _dose_score(np.atleast_2d(x), c2)
+    score = _dose_score(np.atleast_2d(x), c2)
     return float(_squash_dose(score + noise)[0])
 
 
 def _raw_outcome(x, s, a, gt):
     """Noiseless raw outcome of one formula-space row, as generate_dataset composes it."""
-    base, _ = _outcome_base(np.atleast_2d(x), np.asarray([s]), gt.c1, pairwise=True)
+    base = _row_part(np.atleast_2d(x), gt.c1) * _dose_part(np.asarray([s]))
     return float(base[0] * _group_factor(gt.gamma, gt.gamma_scale, np.asarray([a]))[0])
 
 
@@ -201,6 +202,17 @@ def test_assign_dose_matches_hand_evaluation():
     assert _dose(x, noise=0.0, c2=c2) == pytest.approx(expected, abs=1e-12)
     # frozen value of the evaluation above
     assert expected == pytest.approx(0.40969341, abs=1e-7)
+
+
+@pytest.mark.parametrize("x2, floor", [(-1.0, DENOM_GUARD), (-1.0 - 1e-9, -DENOM_GUARD)])
+def test_dose_score_floors_vanishing_denominator(x2, floor):
+    # off the unit range 1 + x2 reaches 0; the floor keeps its sign, zero counting as positive
+    x = _fixed_row(con=0.3, binary=1.0)
+    x[1] = x2
+    assert abs(1.0 + x2) < DENOM_GUARD
+    score = _dose_score(np.atleast_2d(x), 0.5)[0]
+    assert np.isfinite(score)
+    assert score == pytest.approx(0.3 / floor + 0.3 / 0.5 + math.tanh(2.5) - 2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +402,19 @@ def test_ground_truth_json_rejects_bad_fields(field, bad):
         broken[field] = bad
     with pytest.raises(GenerationError, match="scaling" if field.startswith("scaling") else field):
         GroundTruth.from_json(json.dumps(broken))
+
+
+def test_true_cadr_grid_floors_vanishing_outcome_denominator():
+    # off the unit range 0.5 + 5 * min(x2, x3, x5) reaches exactly 0
+    x = _fixed_row(con=0.3, binary=1.0)
+    x[1] = -0.1
+    assert 0.5 + 5.0 * min(x[1], x[2], x[4]) == 0.0
+    gt = _frozen_gt(y_min=-1e7, y_max=1e7)  # a range wide enough that nothing clamps
+    mu = true_cadr_grid(gt, np.asarray([0.0, 0.1]), x)[0]
+    assert np.all(np.isfinite(mu))
+    raw = (math.tanh(2.5) + math.exp(0.0) / 1e-6) * math.sin(0.3 * math.pi) / 1.1
+    assert mu[0] == 0.5
+    assert mu[1] == pytest.approx((raw + 1e7) / 2e7, rel=1e-12)
 
 
 def test_true_cadr_pure():

@@ -33,8 +33,6 @@ from doseuplift.forest import RandomForestRegressor
 
 
 class _ConstantEstimator(Estimator):
-    kind = "constant"
-
     def __init__(self, value):
         self.value = value
 
@@ -45,8 +43,6 @@ class _ConstantEstimator(Estimator):
 
 class _OffsetOracle(Estimator):
     """Oracle shifted by a constant, for quadrature checks."""
-
-    kind = "offset"
 
     def __init__(self, gt, offset):
         self.inner = oracle_estimator(gt)
@@ -156,7 +152,6 @@ def test_oracle_cade_matrix_equals_ground_truth(small_data):
     m = cade_matrix(oracle_estimator(gt), ds, delta=10)
     mu = true_cadr_grid(gt, dose_grid(10), ds.covariates.features)
     expected = mu - mu[:, [0]]
-    assert m.provenance == "ground-truth"
     assert np.allclose(m.values, expected, atol=1e-12)
 
 
@@ -186,7 +181,6 @@ def test_cade_and_mise_match_one_predict_per_grid(small_data, delta):
         want = cade_matrix(est, ds, delta)
         assert np.array_equal(matrix.values, want.values)
         assert np.array_equal(matrix.doses, want.doses)
-        assert matrix.provenance == want.provenance
         assert err == mise(est, gt, ds)
         assert cade_and_mise(est, ds, delta)[1] is None
     # why the grids are concatenated, not merged
@@ -198,7 +192,6 @@ def test_cade_matrix_rejects_nonzero_first_column():
         CadeMatrix(
             values=np.asarray([[0.1, 0.2]]),
             doses=np.asarray([0.0, 1.0]),
-            provenance="estimated",
         )
 
 
@@ -209,9 +202,24 @@ def test_cade_csv_roundtrip(tmp_path, small_data):
     save_cade_csv(m, path)
     header = path.read_text().splitlines()[0]
     assert header.startswith("entity,dose_0.0,dose_0.1")
-    back = load_cade_csv(path, provenance="ground-truth")
+    back = load_cade_csv(path)
     assert np.array_equal(back.values, m.values)
     assert np.array_equal(back.doses, m.doses)
+
+
+@pytest.mark.parametrize("line, col", [(1, 2), (3, 3)])
+def test_load_cade_csv_names_file_line_and_column(tmp_path, small_data, line, col):
+    # column numbers count the entity column; line 1 is the header of dose labels
+    ds, gt = small_data
+    path = tmp_path / "cade.csv"
+    save_cade_csv(cade_matrix(oracle_estimator(gt), ds, delta=4), path)
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[col - 1] = "dose_x" if line == 1 else "x"
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"cade\.csv:{line}, column {col}: cannot parse 'x'"):
+        load_cade_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +321,11 @@ def test_binned_randomized_assignment_recovery():
     # doses independent of covariates: the stratum means of factual outcomes
     # converge to the mean of the true dose-response surface inside each bin
     from doseuplift.datagen import (
-        FeatureScaling,
+        CONTINUOUS_COLS,
         GroundTruth,
-        _outcome_base,
+        _dose_part,
+        _row_part,
+        _unit_features,
         empirical_constants,
     )
 
@@ -324,14 +334,15 @@ def test_binned_randomized_assignment_recovery():
     rng = np.random.default_rng([77, 3])
     doses = rng.uniform(0.0, 1.0, size=n)
     c1, c2 = empirical_constants(cov)
-    scaling = FeatureScaling.fit(cov.features)
-    base, _ = _outcome_base(scaling.unit_features(cov.features), doses, c1, pairwise=True)
+    cont = cov.features[:, list(CONTINUOUS_COLS)]
+    lo, hi = tuple(cont.min(axis=0)), tuple(cont.max(axis=0))
+    base = _row_part(_unit_features(cov.features, lo, hi), c1) * _dose_part(doses)
     raw = base + rng.normal(0.0, 0.5, size=n)
     y_min, y_max = float(raw.min()), float(raw.max())
     y = (raw - y_min) / (y_max - y_min)
     gt = GroundTruth(
         c1=c1, c2=c2, gamma=0.0, gamma_scale=0.1, protected_feature=7,
-        scaling=scaling, y_min=y_min, y_max=y_max,
+        scaling_min=lo, scaling_max=hi, y_min=y_min, y_max=y_max,
     )
     ds = Dataset(
         covariates=cov, doses=doses, outcomes=y,

@@ -445,6 +445,18 @@ def test_cli_fit_feature_subsample_count(tmp_path):
         main(fit + ["0"])
 
 
+def test_cli_fit_max_depth_none(tmp_path):
+    # the flag takes the config key's syntax: none means unlimited depth
+    gen_dir, fit_dir = tmp_path / "gen", tmp_path / "fit"
+    assert main(["generate", "--synthetic", "60", "--seed", "3", "--out", str(gen_dir)]) == 0
+    assert main(["fit", "--data", str(gen_dir / "dataset.csv"), "--estimator", "rf",
+                 "--trees", "4", "--delta", "4", "--out", str(fit_dir),
+                 "--max-depth", "none"]) == 0
+    model = (fit_dir / "model.json").read_text()
+    assert json.loads(model)["config"]["max_depth"] is None
+    assert '"max_depth": null' in model
+
+
 _TOY_CONFIG = (
     "data = synthetic:40\nseed = 3\ndelta = 3\nestimator = oracle\nbudgets = 2,4\n"
     "gammas = 0,1\neps_dt_grid = 0.5,1\neps_do_grid = 1\nfactors = 1,2\n"

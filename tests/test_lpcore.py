@@ -491,7 +491,7 @@ def test_maintained_state_through_key_handovers_phase_one_and_bnb(bland):
             n, delta = 6, 3
             values = rng.uniform(-0.3, 0.9, size=(n, delta + 1))
             values[:, 0] = 0.0
-            cade = CadeMatrix(values=values, doses=np.arange(delta + 1) / delta, provenance="estimated")
+            cade = CadeMatrix(values=values, doses=np.arange(delta + 1) / delta)
             prob = make_problem(
                 cade, budget=float(rng.uniform(0.5, 3.0)), groups=np.arange(n) % 2,
                 eps_dt=0.25, eps_do=0.5,

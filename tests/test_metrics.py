@@ -39,7 +39,7 @@ def pipeline():
 
 
 def _curve(budgets, values):
-    return ValueCurve(np.asarray(budgets, float), np.asarray(values, float), "test")
+    return ValueCurve(np.asarray(budgets, float), np.asarray(values, float))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,6 @@ def test_exact_curve_equals_per_budget_solves(pipeline):
         values=np.clip(true_cade.values + rng.normal(0, 0.05, true_cade.values.shape), -1, 1)
         * (np.arange(11) > 0),
         doses=true_cade.doses,
-        provenance="estimated",
     )
     prob = make_problem(noisy, budget=0.0, groups=ds.protected, benefits=rng.uniform(0.5, 1.5, 120))
     budgets = np.arange(2.0, 62.0, 4.0)
@@ -132,8 +131,7 @@ def test_exact_curve_equals_per_budget_solves(pipeline):
 
 def test_exact_fairness_curve_equals_per_budget_bnb(pipeline):
     ds, gt, true_cade = pipeline
-    small = CadeMatrix(values=true_cade.values[:10, :5], doses=true_cade.doses[:5] * 2.5,
-                       provenance="ground-truth")
+    small = CadeMatrix(values=true_cade.values[:10, :5], doses=true_cade.doses[:5] * 2.5)
     prob = make_problem(small, budget=0.0, groups=ds.protected[:10], eps_dt=0.25)
     assert prob.active_fairness()
     budgets = [0.5, 1.0, 2.0, 3.0]
@@ -203,7 +201,6 @@ def test_fairness_report_equal_doses():
     cade = CadeMatrix(
         values=np.asarray([[0.0, 0.2], [0.0, 0.1]]),
         doses=np.asarray([0.0, 1.0]),
-        provenance="estimated",
     )
     p = Policy(np.asarray([1, 1]), 2)
     rep = fairness_report(p, cade, np.asarray([0, 1]))
@@ -216,7 +213,6 @@ def test_fairness_report_all_zero_policy():
     cade = CadeMatrix(
         values=np.asarray([[0.0, 0.2], [0.0, 0.1]]),
         doses=np.asarray([0.0, 1.0]),
-        provenance="estimated",
     )
     p = Policy(np.asarray([0, 0]), 2)
     rep = fairness_report(p, cade, np.asarray([0, 1]))
@@ -224,9 +220,7 @@ def test_fairness_report_all_zero_policy():
 
 
 def test_fairness_report_empty_group_error():
-    cade = CadeMatrix(
-        values=np.asarray([[0.0, 0.2]]), doses=np.asarray([0.0, 1.0]), provenance="estimated"
-    )
+    cade = CadeMatrix(values=np.asarray([[0.0, 0.2]]), doses=np.asarray([0.0, 1.0]))
     p = Policy(np.asarray([1]), 2)
     with pytest.raises(MetricError):
         fairness_report(p, cade, np.asarray([0]))
