@@ -5,6 +5,7 @@ dose-response estimator, discretize its effects into a dose-effect matrix,
 then solve a constrained dose-allocation problem and evaluate the result.
 """
 
+from ._csvio import CsvFormatError
 from .alloc import (
     AllocationProblem,
     Policy,

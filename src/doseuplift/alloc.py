@@ -10,7 +10,6 @@ feasible and infeasibility can never arise from the budget alone.
 from __future__ import annotations
 
 import copy
-import csv
 import heapq
 import sys
 import time
@@ -20,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvio import CsvFormatError, parse_cell, read_table, write_rows
 from .estimators import (
     CadeMatrix,
     load_cade_csv,
     read_dose_csv,
-    read_entity_csv,
     save_cade_csv,
     write_dose_csv,
 )
@@ -627,22 +626,11 @@ def save_problem(prob: AllocationProblem, directory: str | Path) -> None:
         _eps_field(prob.eps_do),
         "true" if prob.strict_eps_one else "false",
     ]
-    with (directory / "meta.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(META_CSV_HEADER)
-        for i in range(prob.n):
-            benefit, group = repr(float(prob.benefits[i])), str(int(prob.groups[i]))
-            writer.writerow([str(i), benefit, group] + shared)
-
-
-def _parse_shared(fields: list[str]) -> tuple:
-    """(budget, eps_dt, eps_do, strict_eps_one) from the per-row copies in meta.csv."""
-    budget = float(fields[0])
-    eps_dt, eps_do = (None if f == "disabled" else float(f) for f in fields[1:3])
-    strict = fields[3] if len(fields) > 3 else "false"  # six-column files predate the flag
-    if strict not in ("true", "false"):
-        raise ValueError(f"strict_eps_one must be true or false, got {strict!r}")
-    return budget, eps_dt, eps_do, strict == "true"
+    rows = (
+        [str(i), repr(float(prob.benefits[i])), str(int(prob.groups[i]))] + shared
+        for i in range(prob.n)
+    )
+    write_rows(directory / "meta.csv", META_CSV_HEADER, rows)
 
 
 def load_problem(directory: str | Path) -> AllocationProblem:
@@ -655,27 +643,30 @@ def load_problem(directory: str | Path) -> AllocationProblem:
         raise AllocError(f"{cost_path}:1: dose columns differ from those of cade.csv")
 
     meta_path = directory / "meta.csv"
-    header, rows = read_entity_csv(meta_path)
-    if header not in (META_CSV_HEADER, META_CSV_HEADER[:-1]):
-        raise AllocError(f"{meta_path}:1: unexpected header")
-    if not rows:
-        raise AllocError(f"{meta_path}: no data rows")
+    _, rows = read_table(meta_path, lambda h: h in (META_CSV_HEADER, META_CSV_HEADER[:-1]))
     benefits, groups, first = [], [], None
-    for line, fields in rows:
-        try:
-            if len(fields) != len(header) - 1:
-                raise ValueError(f"{len(fields) + 1} fields, expected {len(header)}")
-            benefits.append(float(fields[0]))
-            groups.append(int(fields[1]))
-            shared = _parse_shared(fields[2:])
-        except ValueError as exc:
-            raise AllocError(f"{meta_path}:{line}: {exc}") from exc
+    for line, cells in rows:
+        benefit, budget = (parse_cell(meta_path, line, col, cells[col - 1]) for col in (2, 4))
+        group = parse_cell(meta_path, line, 3, cells[2], int, "an integer")
+        eps_dt, eps_do = (
+            None if cells[col - 1] == "disabled"
+            else parse_cell(meta_path, line, col, cells[col - 1])
+            for col in (5, 6)
+        )
+        strict = cells[6] if len(cells) > 6 else "false"  # six-column files predate the flag
+        if strict not in ("true", "false"):
+            raise CsvFormatError(
+                f"{meta_path}:{line}, column 7: cannot parse {strict!r} as true or false"
+            )
+        shared = (budget, eps_dt, eps_do, strict == "true")
         if first is None:
             first = shared
         elif shared != first:
             raise AllocError(
                 f"{meta_path}:{line}: budget/eps fields {shared} differ from the first row's {first}"
             )
+        benefits.append(benefit)
+        groups.append(group)
     budget, eps_dt, eps_do, strict_eps_one = first
     return AllocationProblem(
         cade=cade,

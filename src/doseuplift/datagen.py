@@ -8,12 +8,13 @@ generator is kept around as queryable ground truth for evaluation.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+from ._csvio import CsvFormatError, parse_numbers, read_rows, read_table, write_rows
 
 N_FEATURES = 25
 
@@ -334,20 +335,6 @@ def synth_covariates(n: int, seed: int) -> CovariateTable:
     return CovariateTable(features=feats)
 
 
-def _parse_numbers(cells: list[str], where: str, first_col: int = 1) -> list[float]:
-    """The cells as floats; a bad cell fails naming ``where`` and its column,
-    counted from ``first_col`` for the first cell."""
-    out = []
-    for col, cell in enumerate(cells, start=first_col):
-        try:
-            out.append(float(cell))
-        except ValueError:
-            raise CovariateError(
-                f"{where}, column {col}: cannot parse {cell.strip()!r} as a number"
-            ) from None
-    return out
-
-
 def _looks_like_header(row: list[str]) -> bool:
     for cell in row:
         try:
@@ -364,36 +351,29 @@ def load_covariates(path: str | Path, has_header: bool | None = None) -> Covaria
     order. Continuous columns are z-scored; binary columns must already be 0/1
     and are left untouched. ``has_header=None`` auto-detects a header row.
     """
-    path = Path(path)
-    rows: list[list[float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for r_idx, row in enumerate(reader):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if r_idx == 0 and (has_header is True or (has_header is None and _looks_like_header(row))):
-                continue
-            if len(row) < N_FEATURES:
-                raise CovariateError(
-                    f"row {r_idx + 1}: expected >= {N_FEATURES} columns, got {len(row)}"
-                )
-            rows.append(_parse_numbers(row[:N_FEATURES], f"row {r_idx + 1}"))
+    rows = read_rows(path)
+    if rows and (has_header or (has_header is None and _looks_like_header(rows[0][1]))):
+        rows = rows[1:]
     if not rows:
-        raise CovariateError(f"{path}: no data rows")
-
-    feats = np.asarray(rows, dtype=float)
+        raise CsvFormatError(f"{path}: no data rows")
+    for line, cells in rows:
+        if len(cells) < N_FEATURES:
+            raise CovariateError(
+                f"{path}:{line}: expected >= {N_FEATURES} columns, got {len(cells)}"
+            )
+    feats = np.asarray([parse_numbers(path, line, cells[:N_FEATURES]) for line, cells in rows])
     for col in BINARY_COLS_1 + BINARY_COLS_2:
         vals = feats[:, col]
         bad = np.nonzero(~((vals == 0.0) | (vals == 1.0)))[0]
         if bad.size:
             raise CovariateError(
-                f"column {col + 1} is a binary column but row {bad[0] + 1} "
-                f"holds {vals[bad[0]]!r}"
+                f"{path}:{rows[bad[0]][0]}: column {col + 1} is a binary column but holds "
+                f"{float(vals[bad[0]])!r}"
             )
     for col in CONTINUOUS_COLS:
         std = float(feats[:, col].std())
         if std == 0.0:
-            raise CovariateError(f"column {col + 1} has zero variance; cannot z-score")
+            raise CovariateError(f"{path}: column {col + 1} has zero variance; cannot z-score")
         feats[:, col] = (feats[:, col] - feats[:, col].mean()) / std
     return CovariateTable(features=feats)
 
@@ -403,16 +383,12 @@ DATASET_HEADER = [f"x{i}" for i in range(1, N_FEATURES + 1)] + ["a", "s", "y"]
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as CSV with columns x1..x25,a,s,y at full precision."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_HEADER)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.covariates.features[i]]
-            row.append(str(int(ds.protected[i])))
-            row.append(repr(float(ds.doses[i])))
-            row.append(repr(float(ds.outcomes[i])))
-            writer.writerow(row)
+    rows = (
+        [repr(float(v)) for v in ds.covariates.features[i]]
+        + [str(int(ds.protected[i])), repr(float(ds.doses[i])), repr(float(ds.outcomes[i]))]
+        for i in range(ds.n)
+    )
+    write_rows(path, DATASET_HEADER, rows)
 
 
 def load_dataset(path: str | Path, protected_feature: int = 7) -> Dataset:
@@ -421,29 +397,14 @@ def load_dataset(path: str | Path, protected_feature: int = 7) -> Dataset:
     Covariates are taken as already preprocessed. The stored group column must
     match the configured protected feature column.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != DATASET_HEADER:
-            raise CovariateError(f"{path}: not a dataset CSV (unexpected header)")
-        rows = []
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(DATASET_HEADER):
-                raise CovariateError(
-                    f"{where}: expected {len(DATASET_HEADER)} columns, got {len(row)}"
-                )
-            rows.append(_parse_numbers(row, where))
-    if not rows:
-        raise CovariateError(f"{path}: no data rows")
-    table = np.asarray(rows)
+    _, rows = read_table(path, lambda header: [h.strip() for h in header] == DATASET_HEADER)
+    table = np.asarray([parse_numbers(path, line, cells) for line, cells in rows])
     # contiguous copies: a reduction over a strided view may sum in another order
     group, doses, outcomes = table[:, N_FEATURES:].T.copy()
     cov = CovariateTable(features=table[:, :N_FEATURES].copy())
     protected = group.astype(int)
     if not np.array_equal(protected, cov.features[:, protected_feature - 1].astype(int)):
         raise CovariateError(
-            f"group column does not match covariate column {protected_feature}"
+            f"{path}: group column does not match covariate column {protected_feature}"
         )
     return Dataset(covariates=cov, doses=doses, outcomes=outcomes, protected=protected)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, GroundTruth, _parse_numbers, dose_grid, true_cadr_grid
+from ._csvio import parse_numbers, read_table, write_rows
+from .datagen import Dataset, GroundTruth, dose_grid, true_cadr_grid
 from .forest import RandomForestRegressor, RfConfig
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "load_cade_csv",
     "write_dose_csv",
     "read_dose_csv",
-    "read_entity_csv",
 ]
 
 
@@ -264,47 +263,19 @@ def _dose_label(d: float) -> str:
 
 def write_dose_csv(path: str | Path, doses: np.ndarray, values: np.ndarray) -> None:
     """Write `entity,dose_0.0,...` rows, one per entity, at full precision."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity"] + [_dose_label(d) for d in doses])
-        for i, row in enumerate(values):
-            writer.writerow([str(i)] + [repr(float(v)) for v in row])
-
-
-def read_entity_csv(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header, then ``(line number, fields after the id)`` per data row.
-
-    The first column must hold the entity ids 0..n-1 in order.
-    """
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if row[0] != str(len(rows)):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: entity id {row[0]!r}, expected {len(rows)}"
-                )
-            rows.append((reader.line_num, row[1:]))
-    return header, rows
+    rows = ([str(i)] + [repr(float(v)) for v in row] for i, row in enumerate(values))
+    write_rows(path, ["entity"] + [_dose_label(d) for d in doses], rows)
 
 
 def read_dose_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Dose grid and per-entity values of a file written by ``write_dose_csv``."""
-    path = Path(path)
-    header, rows = read_entity_csv(path)
-    if not header or header[0] != "entity" or not all(h.startswith("dose_") for h in header[1:]):
-        raise ValueError(f"{path}:1: not a dose-labeled CSV")
+    (header_line, header), rows = read_table(
+        path, lambda h: h[0] == "entity" and all(c.startswith("dose_") for c in h[1:])
+    )
     # column numbers count the entity column
-    doses = np.asarray(_parse_numbers([h[len("dose_"):] for h in header[1:]], f"{path}:1", 2))
-    values = []
-    for line, fields in rows:
-        if len(fields) != len(doses):
-            raise ValueError(f"{path}:{line}: {len(fields)} values for {len(doses)} doses")
-        values.append(_parse_numbers(fields, f"{path}:{line}", 2))
-    return doses, np.asarray(values)
+    labels = [h[len("dose_"):] for h in header[1:]]
+    doses = np.asarray(parse_numbers(path, header_line, labels, 2))
+    return doses, np.asarray([parse_numbers(path, line, cells[1:], 2) for line, cells in rows])
 
 
 def save_cade_csv(matrix: CadeMatrix, path: str | Path) -> None:

@@ -8,7 +8,6 @@ reproducibility and are confined to the scalability and bin-sweep tables.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import time
 from dataclasses import dataclass, fields, replace
@@ -26,6 +25,7 @@ from .datagen import (
     load_covariates,
     synth_covariates,
 )
+from ._csvio import write_rows
 from ._fork import fork_map
 
 # mise is not called here; it stays in this namespace only because the
@@ -197,10 +197,7 @@ def _write_table(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_rows(path, header, rows)
     lines = [f"config_hash = {config_hash(cfg)}"] + config_lines(cfg)
     lines += [f"{k} = {v}" for k, v in extra.items()]
     Path(str(path) + ".meta").write_text("\n".join(lines) + "\n")
@@ -404,6 +401,8 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
                             f"(bound {report.best_bound}); raise bnb_node_limit "
                             f"or relax the grid"
                         )
+                    # not policy.picked(...).sum(): the summation order fixes the
+                    # last bits, and so the bytes, of the objective column
                     presc = float(
                         np.sum(report.policy.matrix * true_cade.values)
                     )
@@ -578,6 +577,8 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
         t0 = time.perf_counter()
         report = solve_exact(prob)
         wall_ms = (time.perf_counter() - t0) * 1e3
+        # not policy.picked(...).sum(): the summation order fixes the last bits,
+        # and so the bytes, of the u_presc column
         presc = float(np.sum(report.policy.matrix * true_cade.values))
         rows.append([str(delta), _fmt(presc), _fmt(wall_ms)])
     return _write_table(

@@ -438,6 +438,55 @@ def test_bnb_matches_brute_force_with_random_fairness():
         _assert_policy_contract(prob, bb)
 
 
+_SLACKS = st.sampled_from([None, 0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def _adversarial_bnb_instances(draw):
+    """Small problems with near-tied values, duplicate entities, zero-cost doses
+    above 0, a budget exactly at one policy's cost sum, and fairness on data
+    that may hold one group only."""
+    delta = draw(st.integers(1, 3))
+    n_unique = draw(st.integers(1, 4))
+    rows = [
+        [0.0] + draw(st.lists(st.sampled_from(_TIE_VALUES), min_size=delta, max_size=delta))
+        for _ in range(n_unique)
+    ]
+    order = draw(st.lists(st.integers(0, n_unique - 1), min_size=1, max_size=6))
+    n = len(order)
+    units = [[0] + draw(st.lists(st.integers(0, 2 * delta), min_size=delta, max_size=delta))
+             for _ in order]
+    costs = np.asarray(units, dtype=float) / delta
+    picks = draw(st.lists(st.integers(0, delta), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        groups = np.full(n, draw(st.integers(0, 1)))
+    else:
+        groups = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # one group: fairness is skipped
+        return AllocationProblem(
+            cade=_cade([rows[k] for k in order]),
+            costs=costs,
+            benefits=np.asarray(draw(st.lists(st.sampled_from([0.5, 1.0, 1.5]),
+                                              min_size=n, max_size=n))),
+            budget=float(costs[np.arange(n), picks].sum()),
+            groups=groups,
+            eps_dt=draw(_SLACKS),
+            eps_do=draw(_SLACKS),
+            strict_eps_one=draw(st.booleans()),
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_adversarial_bnb_instances())
+def test_bnb_matches_brute_force_on_adversarial_instances(prob):
+    bb = solve_bnb(prob)
+    bf = brute_force(prob)
+    assert bb.status == "optimal" and bf.status == "optimal"
+    assert bb.objective == pytest.approx(bf.objective, abs=1e-9)
+    _assert_policy_contract(prob, bb)
+
+
 def test_bnb_dominates_greedy():
     rng = np.random.default_rng(8)
     for _ in range(15):

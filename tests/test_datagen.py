@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from doseuplift import CsvFormatError
 from doseuplift.datagen import (
     BINARY_COLS_1,
     BINARY_COLS_2,
@@ -155,7 +156,7 @@ def test_load_covariates_reports_bad_cell_location(tmp_path):
     rows[2] = ",".join(cells)
     path = tmp_path / "cov.csv"
     path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(CovariateError, match="row 3, column 5"):
+    with pytest.raises(CsvFormatError, match=r"cov\.csv:3, column 5"):
         load_covariates(path)
 
 
@@ -332,11 +333,11 @@ def test_load_dataset_names_file_line_and_column(tmp_path):
     cells = lines[3].split(",")
     cells[26] = "x"  # the dose column s
     path.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
-    with pytest.raises(CovariateError, match=r"data\.csv:4, column 27: cannot parse 'x'"):
+    with pytest.raises(CsvFormatError, match=r"data\.csv:4, column 27: cannot parse 'x'"):
         load_dataset(path)
 
     path.write_text(lines[0] + "\n")
-    with pytest.raises(CovariateError, match=r"data\.csv: no data rows"):
+    with pytest.raises(CsvFormatError, match=r"data\.csv: no data rows"):
         load_dataset(path)
 
 
