@@ -2,12 +2,14 @@
 
 Readers see ``(line, cells)`` rows without blank rows; writers end every
 line in ``\\r\\n``. Bytes that do not read as the file's format raise
-``CsvFormatError`` naming ``path:line``.
+``CsvFormatError`` naming ``path:line``; content that the owning type
+refuses raises that type's error, named by ``naming``.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
 
 Row = tuple[int, list[str]]  # (file line, cells)
@@ -61,6 +63,16 @@ def parse_cell(
 def parse_numbers(path: str | Path, line: int, cells: list[str], first_col: int = 1) -> list[float]:
     """The cells as floats, columns counted from ``first_col``."""
     return [parse_cell(path, line, col, cell) for col, cell in enumerate(cells, start=first_col)]
+
+
+@contextmanager
+def naming(path: str | Path):
+    """Put ``path`` in front of the message of a ``ValueError`` raised inside
+    the block, keeping the error's type."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_rows(path: str | Path, header: list[str], rows) -> None:

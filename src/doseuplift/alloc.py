@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csvio import CsvFormatError, parse_cell, read_table, write_rows
+from ._csvio import CsvFormatError, naming, parse_cell, read_table, write_rows
 from .estimators import (
     CadeMatrix,
     load_cade_csv,
@@ -82,10 +82,12 @@ class AllocationProblem:
             raise AllocError("cost matrix must match the dose-effect matrix shape")
         if np.any(costs[:, 0] != 0.0):
             raise AllocError("dose-0 costs must be zero")
-        if np.any(costs < 0.0):
-            raise AllocError("costs must be nonnegative")
+        if not np.all(np.isfinite(costs) & (costs >= 0.0)):
+            raise AllocError("costs must be finite and nonnegative")
         if benefits.shape != (self.cade.n,):
             raise AllocError("benefit vector must have one entry per entity")
+        if not np.all(np.isfinite(benefits)):
+            raise AllocError("benefits must be finite")
         if groups.shape != (self.cade.n,) or not np.all((groups == 0) | (groups == 1)):
             raise AllocError("groups must be 0/1 with one entry per entity")
         _check_budget(self.budget)
@@ -232,8 +234,8 @@ class SolveReport:
     # kept out of csv_row and files
     stats: dict[str, int] = field(default_factory=dict)
 
-    def csv_row(self, costs: np.ndarray | None = None) -> list[str]:
-        cost = policy_cost(self.policy, costs) if (self.policy is not None and costs is not None) else float("nan")
+    def csv_row(self, costs: np.ndarray) -> list[str]:
+        cost = float("nan") if self.policy is None else policy_cost(self.policy, costs)
         return [
             self.status,
             repr(float(self.objective)),
@@ -488,28 +490,19 @@ def _infeasibility(prob: AllocationProblem, policy: Policy) -> str | None:
     return None
 
 
-def _certify(prob: AllocationProblem, policy: Policy, objective: float, best_bound: float) -> None:
-    """Re-check a B&B result with arithmetic that does not go through the LP."""
-    failed = _infeasibility(prob, policy)
-    if failed is not None:
-        raise RuntimeError(f"certificate failed: the incumbent {failed}")
-    if not best_bound >= objective:
-        raise RuntimeError("certificate failed: the bound is below the objective")
-
-
 def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveReport:
     """Exact branch-and-bound over the LP relaxation.
 
     Best-bound node order, branching on the most fractional variable (fixed
     to 1 versus 0). The incumbent starts from the greedy policy when no
     fairness constraint is active, otherwise from the always-feasible
-    all-zeros policy. Exceeding the node limit reports the incumbent with
+    all-zeros policy. Reaching the node limit reports the incumbent with
     its proven bound instead of failing. Before either is reported, the
     incumbent is re-checked against budget and fairness and the bound
-    against the objective; a failed check raises ``RuntimeError``.
-    ``stats`` counts the node LPs (``lp_calls``) and their pivots, basis
-    inversions and pricing passes (``lp_pivots``, ``lp_inversions``,
-    ``lp_pricings``).
+    against the objective, with arithmetic that does not go through the LP;
+    a failed check raises ``RuntimeError``. ``stats`` counts the node LPs
+    (``lp_calls``) and their pivots, basis inversions and pricing passes
+    (``lp_pivots``, ``lp_inversions``, ``lp_pricings``).
     """
     t0 = time.perf_counter()
     n, delta = prob.n, prob.delta
@@ -521,34 +514,29 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
         incumbent = solve_greedy(prob).policy
     inc_obj = policy_value(incumbent, prob.cade, prob.benefits)
 
+    # a node: (-parent bound, seq, variables fixed to 0, variables fixed to 1)
     seq = 0
-    heap: list[tuple[float, int, tuple]] = [(-np.inf, seq, ())]
+    heap: list[tuple[float, int, tuple, tuple]] = [(-np.inf, seq, (), ())]
     nodes = 0
     root_bound = None
+    status = "optimal"
     stats = {"lp_calls": 0, "lp_pivots": 0, "lp_inversions": 0, "lp_pricings": 0}
 
-    while heap:
-        neg_bound, _, fixings = heapq.heappop(heap)
-        bound_est = -neg_bound
-        if bound_est <= inc_obj + BUDGET_TOL:
-            break  # best-bound order: nothing left can improve
+    # best-bound order: once the best open bound cannot improve, nothing can
+    while heap and -heap[0][0] > inc_obj + BUDGET_TOL:
         if nodes >= node_limit:
-            best_bound = max(bound_est, inc_obj)
-            _certify(prob, incumbent, inc_obj, best_bound)
-            return _finish("limit", inc_obj, incumbent, nodes, root_bound, best_bound, t0, **stats)
+            status = "limit"
+            break
+        _, _, zeros, ones = heapq.heappop(heap)
         nodes += 1
 
+        fixed0 = np.array(zeros, dtype=np.intp)
+        fixed1 = np.array(ones, dtype=np.intp)
         lower = base.lower.copy()
         upper = base.upper.copy()
-        for var, val in fixings:
-            lower[var] = val
-            upper[var] = val
-            if val == 1:  # one dose per entity: siblings drop to zero
-                ent = var // delta
-                sib = np.arange(ent * delta, (ent + 1) * delta)
-                upper[sib] = 0.0
-                upper[var] = 1.0
-                lower[var] = 1.0
+        upper.reshape(n, delta)[fixed1 // delta] = 0.0  # one dose per entity: siblings drop to zero
+        upper[fixed0] = 0.0
+        lower[fixed1] = upper[fixed1] = 1.0
         sol = solve_lp(base.with_bounds(lower, upper))
         stats["lp_calls"] += 1
         stats["lp_pivots"] += sol.iterations
@@ -586,13 +574,17 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
         e_idx = cands // delta
         pick = np.lexsort((e_idx, d_idx))[0]
         var = int(cands[pick])
-        for val in (1, 0):
+        for child in ((zeros, ones + (var,)), (zeros + (var,), ones)):
             seq += 1
-            heapq.heappush(heap, (-sol.objective, seq, fixings + ((var, val),)))
+            heapq.heappush(heap, (-sol.objective, seq, *child))
 
-    best_bound = inc_obj
-    _certify(prob, incumbent, inc_obj, best_bound)
-    return _finish("optimal", inc_obj, incumbent, nodes, root_bound, best_bound, t0, **stats)
+    best_bound = max(-heap[0][0], inc_obj) if status == "limit" else inc_obj
+    failed = _infeasibility(prob, incumbent)
+    if failed is not None:
+        raise RuntimeError(f"certificate failed: the incumbent {failed}")
+    if not best_bound >= inc_obj:
+        raise RuntimeError("certificate failed: the bound is below the objective")
+    return _finish(status, inc_obj, incumbent, nodes, root_bound, best_bound, t0, **stats)
 
 
 def flattening_budget(prob: AllocationProblem) -> float:
@@ -668,13 +660,14 @@ def load_problem(directory: str | Path) -> AllocationProblem:
         benefits.append(benefit)
         groups.append(group)
     budget, eps_dt, eps_do, strict_eps_one = first
-    return AllocationProblem(
-        cade=cade,
-        costs=costs,
-        benefits=np.asarray(benefits),
-        budget=budget,
-        groups=np.asarray(groups, dtype=int),
-        eps_dt=eps_dt,
-        eps_do=eps_do,
-        strict_eps_one=strict_eps_one,
-    )
+    with naming(directory):
+        return AllocationProblem(
+            cade=cade,
+            costs=costs,
+            benefits=np.asarray(benefits),
+            budget=budget,
+            groups=np.asarray(groups, dtype=int),
+            eps_dt=eps_dt,
+            eps_do=eps_do,
+            strict_eps_one=strict_eps_one,
+        )

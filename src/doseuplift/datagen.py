@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csvio import CsvFormatError, parse_numbers, read_rows, read_table, write_rows
+from ._csvio import CsvFormatError, naming, parse_numbers, read_rows, read_table, write_rows
 
 N_FEATURES = 25
 
@@ -401,10 +401,11 @@ def load_dataset(path: str | Path, protected_feature: int = 7) -> Dataset:
     table = np.asarray([parse_numbers(path, line, cells) for line, cells in rows])
     # contiguous copies: a reduction over a strided view may sum in another order
     group, doses, outcomes = table[:, N_FEATURES:].T.copy()
-    cov = CovariateTable(features=table[:, :N_FEATURES].copy())
-    protected = group.astype(int)
-    if not np.array_equal(protected, cov.features[:, protected_feature - 1].astype(int)):
-        raise CovariateError(
-            f"{path}: group column does not match covariate column {protected_feature}"
-        )
-    return Dataset(covariates=cov, doses=doses, outcomes=outcomes, protected=protected)
+    with naming(path):
+        cov = CovariateTable(features=table[:, :N_FEATURES].copy())
+        protected = group.astype(int)
+        if not np.array_equal(protected, cov.features[:, protected_feature - 1].astype(int)):
+            raise CovariateError(
+                f"group column does not match covariate column {protected_feature}"
+            )
+        return Dataset(covariates=cov, doses=doses, outcomes=outcomes, protected=protected)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csvio import parse_numbers, read_table, write_rows
+from ._csvio import naming, parse_numbers, read_table, write_rows
 from .datagen import Dataset, GroundTruth, dose_grid, true_cadr_grid
 from .forest import RandomForestRegressor, RfConfig
 
@@ -139,7 +139,7 @@ class CadeMatrix:
             raise ValueError("dose grid must start at 0 and increase")
         if np.any(vals[:, 0] != 0.0):
             raise ValueError("dose-0 column must be exactly zero")
-        if np.max(np.abs(vals)) > 1.0 + 1e-12:
+        if not np.max(np.abs(vals)) <= 1.0 + 1e-12:  # NaN fails the comparison
             raise ValueError("dose effects must lie in [-1, 1]")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "doses", doses)
@@ -285,4 +285,5 @@ def save_cade_csv(matrix: CadeMatrix, path: str | Path) -> None:
 
 def load_cade_csv(path: str | Path) -> CadeMatrix:
     doses, values = read_dose_csv(path)
-    return CadeMatrix(values=values, doses=doses)
+    with naming(path):
+        return CadeMatrix(values=values, doses=doses)

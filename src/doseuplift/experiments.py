@@ -9,7 +9,6 @@ reproducibility and are confined to the scalability and bin-sweep tables.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -333,21 +332,17 @@ def run_exp1(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
         _exp1_scores, [None, *ests], cfg, ds, gt, true_cade, grid
     )
 
+    columns = [(cap, solver) for cap in cfg.auuc_caps for solver in ("greedy", "exact")]
     rows = []
     for name, (err, presc_curves) in zip(cfg.estimators, scores):
         presc_curves = presc_curves or opt_curves
-        row = [name, _fmt(err)]
         # one curve per solver over the full grid; each cap reads a prefix of it
-        for cap in cfg.auuc_caps:
-            for solver in ("greedy", "exact"):
-                presc = _slice_curve(presc_curves[solver], cap)
-                row.append(_fmt(auuc(presc, _slice_curve(opt_curves[solver], cap))))
+        row = [name, _fmt(err)]
+        for cap, solver in columns:
+            presc = _slice_curve(presc_curves[solver], cap)
+            row.append(_fmt(auuc(presc, _slice_curve(opt_curves[solver], cap))))
         rows.append(row)
-
-    header = ["estimator", "mise"]
-    for cap in cfg.auuc_caps:
-        for solver in ("greedy", "exact"):
-            header.append(f"auuc_{cap:g}_{solver}")
+    header = ["estimator", "mise"] + [f"auuc_{cap:g}_{solver}" for cap, solver in columns]
     return _write_table(
         out_dir, "exp1_results.csv", header, rows, cfg,
         {"area_grid": ",".join(str(b) for b in grid)},
@@ -384,7 +379,6 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         opt_reports = solve_exact_sweep(
             make_problem(true_cade, budget=0.0, groups=ds.protected), cfg.budgets
         )
-        opt_values = {b: r.objective for b, r in zip(cfg.budgets, opt_reports)}
         rows = []
         for eps_dt in cfg.eps_dt_grid:
             for eps_do in cfg.eps_do_grid:
@@ -392,8 +386,8 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
                     est_cade, budget=0.0, groups=ds.protected, eps_dt=eps_dt, eps_do=eps_do
                 )
                 reports = solve_exact_sweep(cell, cfg.budgets, node_limit=cfg.bnb_node_limit)
-                normed, reps_est, reps_true = [], [], []
-                for b, report in zip(cfg.budgets, reports):
+                records = []  # one per budget, in the column order after the slacks
+                for b, report, opt in zip(cfg.budgets, reports, opt_reports):
                     if report.status != "optimal":
                         raise RuntimeError(
                             f"cell eps_dt={eps_dt} eps_do={eps_do} budget={b}: "
@@ -403,45 +397,26 @@ def run_exp2(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
                         )
                     # not policy.picked(...).sum(): the summation order fixes the
                     # last bits, and so the bytes, of the objective column
-                    presc = float(
-                        np.sum(report.policy.matrix * true_cade.values)
-                    )
-                    denom = opt_values[b]
-                    normed.append(presc / denom if denom != 0 else 0.0)
-                    reps_est.append(fairness_report(report.policy, est_cade, ds.protected))
-                    reps_true.append(fairness_report(report.policy, true_cade, ds.protected))
+                    presc = float(np.sum(report.policy.matrix * true_cade.values))
+                    rep_est = fairness_report(report.policy, est_cade, ds.protected)
+                    rep_true = fairness_report(report.policy, true_cade, ds.protected)
+                    records.append((
+                        rep_est.mean_dose_g0, rep_est.mean_dose_g1,
+                        rep_est.mean_gain_g0, rep_est.mean_gain_g1,
+                        rep_true.mean_gain_g0, rep_true.mean_gain_g1,
+                        presc / opt.objective if opt.objective != 0 else 0.0,
+                    ))
                 rows.append(
-                    [
-                        _fmt(eps_dt),
-                        _fmt(eps_do),
-                        _fmt(np.mean([r.mean_dose_g0 for r in reps_est])),
-                        _fmt(np.mean([r.mean_dose_g1 for r in reps_est])),
-                        _fmt(np.mean([r.mean_gain_g0 for r in reps_est])),
-                        _fmt(np.mean([r.mean_gain_g1 for r in reps_est])),
-                        _fmt(np.mean([r.mean_gain_g0 for r in reps_true])),
-                        _fmt(np.mean([r.mean_gain_g1 for r in reps_true])),
-                        _fmt(np.mean(normed)),
-                    ]
+                    [_fmt(eps_dt), _fmt(eps_do)] + [_fmt(np.mean(col)) for col in zip(*records)]
                 )
-        path = _write_table(
-            out_dir,
-            f"exp2_gamma_{gamma:g}.csv",
-            [
-                "eps_dt",
-                "eps_do",
-                "mean_dose_g0",
-                "mean_dose_g1",
-                "outcome_g0_est",
-                "outcome_g1_est",
-                "outcome_g0_true",
-                "outcome_g1_true",
-                "objective",
-            ],
-            rows,
-            gcfg,
+        header = [
+            "eps_dt", "eps_do", "mean_dose_g0", "mean_dose_g1", "outcome_g0_est",
+            "outcome_g1_est", "outcome_g0_true", "outcome_g1_true", "objective",
+        ]
+        paths.append(_write_table(
+            out_dir, f"exp2_gamma_{gamma:g}.csv", header, rows, gcfg,
             {"estimator_used": cfg.estimator},
-        )
-        paths.append(path)
+        ))
     return paths
 
 
@@ -523,40 +498,22 @@ def run_scalability(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
         cade = cade_matrix(est, ds, cfg.delta)
         prob = make_problem(cade, budget=cfg.sweep_budget * factor, groups=ds.protected)
         greedy = solve_greedy(prob)
-        row = [
-            str(factor),
-            str(ds.n),
-            _fmt(greedy.wall_ms),
-            _fmt(greedy.objective),
-        ]
+        row = [str(factor), str(ds.n), _fmt(greedy.wall_ms), _fmt(greedy.objective)]
         if factor <= cfg.exact_max_factor:
             exact = solve_bnb(prob, node_limit=cfg.bnb_node_limit)
             row += [
-                exact.status,
-                str(exact.nodes),
-                _fmt(exact.wall_ms),
-                _fmt(exact.objective),
-                _fmt(exact.best_bound),
+                exact.status, str(exact.nodes),
+                _fmt(exact.wall_ms), _fmt(exact.objective), _fmt(exact.best_bound),
             ]
         else:
             row += ["skipped", "", "", "", ""]
         rows.append(row)
+    header = [
+        "factor", "n", "greedy_ms", "greedy_objective",
+        "exact_status", "exact_nodes", "exact_ms", "exact_objective", "exact_bound",
+    ]
     return _write_table(
-        out_dir,
-        "scalability_results.csv",
-        [
-            "factor",
-            "n",
-            "greedy_ms",
-            "greedy_objective",
-            "exact_status",
-            "exact_nodes",
-            "exact_ms",
-            "exact_objective",
-            "exact_bound",
-        ],
-        rows,
-        cfg,
+        out_dir, "scalability_results.csv", header, rows, cfg,
         {"factors": ",".join(str(f) for f in cfg.factors)},
     )
 
@@ -574,13 +531,11 @@ def run_delta_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
         est_cade = cade_matrix(est, ds, delta)
         true_cade = cade_matrix(oracle_estimator(gt), ds, delta)
         prob = make_problem(est_cade, budget=cfg.sweep_budget, groups=ds.protected)
-        t0 = time.perf_counter()
         report = solve_exact(prob)
-        wall_ms = (time.perf_counter() - t0) * 1e3
         # not policy.picked(...).sum(): the summation order fixes the last bits,
         # and so the bytes, of the u_presc column
         presc = float(np.sum(report.policy.matrix * true_cade.values))
-        rows.append([str(delta), _fmt(presc), _fmt(wall_ms)])
+        rows.append([str(delta), _fmt(presc), _fmt(report.wall_ms)])
     return _write_table(
         out_dir, "delta_sweep_results.csv", ["delta", "u_presc", "wall_ms"], rows, cfg,
         {"deltas": ",".join(str(d) for d in cfg.sweep_deltas)},

@@ -28,6 +28,8 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 # iterations without objective improvement before switching to Bland's rule
 STALL_LIMIT = 500
+# pivots one solve_lp call may take, per row plus column of the problem
+ITERATIONS_PER_DIMENSION = 100
 
 # what a pivot leaves stale
 _NOTHING, _PRICES, _BASIS = 0, 1, 2
@@ -279,7 +281,7 @@ class _Simplex:
         self.ar[:, members] = cols - cols[:, members == k]
         self.cr[members] = self.c[members] - self.c[k]
 
-    def run(self, max_iterations: int) -> str:
+    def run(self, limit: int) -> str:
         """Iterate to optimality; returns optimal | iteration_limit."""
         bland = False
         stall = 0
@@ -293,7 +295,7 @@ class _Simplex:
             q = self._entering(bland)
             if q < 0:
                 return "optimal"
-            if self.iterations >= max_iterations:
+            if self.iterations >= limit:
                 return "iteration_limit"
             self.iterations += 1
             direction = -1.0 if self.at_upper[q] else 1.0
@@ -326,7 +328,7 @@ class _Simplex:
                     bland = True
 
 
-def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP; never returns a silently wrong answer.
 
     The start puts every column at its lower bound, each set's slack in its
@@ -337,8 +339,7 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     failed check raises ``RuntimeError``.
     """
     m, n = problem.n_rows, problem.n_cols
-    if max_iterations is None:
-        max_iterations = 100 * (m + n)
+    limit = ITERATIONS_PER_DIMENSION * (m + n)
     lower, upper = problem.lower, problem.upper
     member = np.flatnonzero(problem.sets >= 0)
     n_sets = int(problem.sets.max(initial=-1)) + 1
@@ -380,7 +381,7 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
         c1 = np.zeros(n_ext)
         c1[first_art:-1] = -1.0
         state.set_phase(c1)
-        status = state.run(max_iterations)
+        status = state.run(limit)
         if status == "iteration_limit":
             return LpSolution("iteration_limit", float("nan"), None, state.iterations, state.stats())
         if state.x[first_art:-1].sum() > FEAS_TOL:
@@ -393,7 +394,7 @@ def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> LpSolutio
     c2 = np.zeros(n_ext)
     c2[:n] = problem.objective
     state.set_phase(c2)
-    status = state.run(max_iterations)
+    status = state.run(limit)
     if status == "iteration_limit":
         return LpSolution("iteration_limit", float("nan"), None, state.iterations, state.stats())
 

@@ -386,6 +386,22 @@ def test_active_fairness_resolved_at_construction():
     assert [k for k, _, _ in replace(prob, eps_dt=1.0).active_fairness()] == ["outcome"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_rejects_non_finite_costs(bad):
+    prob = _two_entity_problem(budget=1.0)
+    costs = prob.costs.copy()
+    costs[1, 2] = bad
+    with pytest.raises(AllocError, match="costs must be finite and nonnegative"):
+        replace(prob, costs=costs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_rejects_non_finite_benefits(bad):
+    prob = _two_entity_problem(budget=1.0)
+    with pytest.raises(AllocError, match="benefits must be finite"):
+        replace(prob, benefits=np.asarray([1.0, bad]))
+
+
 def test_empty_group_fairness_warns_once_at_construction():
     cade = _cade([[0.0, 0.4, 0.3], [0.0, 0.1, 0.5]])
     with warnings.catch_warnings(record=True) as built:
@@ -663,6 +679,32 @@ def test_bnb_paper_scale_root_lps():
             "lp_calls": 1, "lp_pivots": pivots, "lp_inversions": inversions, "lp_pricings": pricings
         }
         assert report.root_bound == pytest.approx(bound, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "seed, eps_dt, eps_do, node_limit, status, nodes, pivots, objective",
+    [
+        (0, None, None, 1_000_000, "optimal", 1, 31, 2.9138703085858837),
+        (0, 0.25, None, 1_000_000, "optimal", 19, 551, 2.8541929565201776),
+        (0, 0.5, 0.5, 1_000_000, "optimal", 21, 720, 2.8302250855321254),
+        (2, 0.5, 0.5, 1_000_000, "optimal", 129, 2954, 2.760123563429335),
+        (0, None, 0.25, 50, "limit", 50, 1219, 2.5630211936369474),
+    ],
+    ids=["seed0-budget", "seed0-dose", "seed0-both", "seed2-both", "seed0-outcome-limit"],
+)
+def test_bnb_search_is_pinned(seed, eps_dt, eps_do, node_limit, status, nodes, pivots, objective):
+    """Nodes and pivots of whole searches on 30-entity oracle problems.
+
+    The counts pin the node order, the branching rule, the incumbent
+    updates and the prunes: a change to any of them updates them here.
+    """
+    cov = datagen.synth_covariates(30, seed)
+    ds, gt = datagen.generate_dataset(cov, datagen.GenConfig(seed=seed, gamma=5.0))
+    cade = estimators.cade_matrix(estimators.oracle_estimator(gt), ds, 5)
+    prob = make_problem(cade, budget=4.0, groups=ds.protected, eps_dt=eps_dt, eps_do=eps_do)
+    report = solve_bnb(prob, node_limit=node_limit)
+    assert (report.status, report.nodes, report.stats["lp_pivots"]) == (status, nodes, pivots)
+    assert report.objective == pytest.approx(objective, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

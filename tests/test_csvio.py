@@ -250,6 +250,45 @@ def test_dataset_csv_format_errors(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [(b"0,0.5,0.1,", "dose-0 column must be exactly zero"), (b"0,0.0,nan,", "dose effects must lie in")],
+    ids=["dose-0", "nan-effect"],
+)
+def test_load_cade_csv_names_the_file_of_a_refused_matrix(tmp_path, row, message):
+    path = tmp_path / "cade.csv"
+    path.write_bytes(CADE_BYTES.replace(b"0,0.0,0.1,", row))
+    with pytest.raises(ValueError, match=re.escape(f"cade.csv: {message}")):
+        load_cade_csv(path)
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("meta.csv", b"1,0.5,1,", b"1,0.5,2,", "groups must be 0/1"),
+        ("meta.csv", b"1,0.5,1,", b"1,nan,1,", "benefits must be finite"),
+        ("cost.csv", b"1,0.0,0.25,", b"1,0.0,nan,", "costs must be finite and nonnegative"),
+    ],
+    ids=["group-2", "nan-benefit", "nan-cost"],
+)
+def test_load_problem_names_the_directory_of_a_refused_problem(tmp_path, name, old, new, message):
+    save_problem(_problem(), tmp_path)
+    _edit_bytes(tmp_path / name, old, new)
+    with pytest.raises(AllocError, match=re.escape(f"{tmp_path}: {message}")) as exc:
+        load_problem(tmp_path)
+    assert not isinstance(exc.value, CsvFormatError)
+
+
+def test_load_dataset_names_the_file_of_a_refused_dataset(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(DATASET_BYTES.replace(b",1,0.25,0.0\r\n", b",1,1.25,0.0\r\n"))
+    with pytest.raises(ValueError, match=r"dataset\.csv: doses must lie in \[0, 1\]"):
+        load_dataset(path)
+    path.write_bytes(DATASET_BYTES.replace(b",1,0.25,0.0\r\n", b",0,0.25,0.0\r\n"))
+    with pytest.raises(CovariateError, match=r"dataset\.csv: group column does not match"):
+        load_dataset(path)
+
+
 def test_content_errors_keep_their_owner_type_and_name_the_file(tmp_path):
     save_problem(_problem(), tmp_path)
     _edit_bytes(tmp_path / "meta.csv", b"1,0.5,1,1.25,", b"1,0.5,1,2.5,")

@@ -195,6 +195,12 @@ def test_cade_matrix_rejects_nonzero_first_column():
         )
 
 
+def test_cade_matrix_rejects_nan_effects():
+    # NaN fails the [-1, 1] check instead of slipping past a "> 1" comparison
+    with pytest.raises(ValueError, match=r"dose effects must lie in \[-1, 1\]"):
+        CadeMatrix(values=np.asarray([[0.0, np.nan]]), doses=np.asarray([0.0, 1.0]))
+
+
 def test_cade_csv_roundtrip(tmp_path, small_data):
     ds, gt = small_data
     m = cade_matrix(oracle_estimator(gt), ds, delta=10)

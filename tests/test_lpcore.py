@@ -138,14 +138,15 @@ def test_with_bounds_checks_only_bounds_and_shares_the_rest():
             p.with_bounds(lo, hi)
 
 
-def test_iteration_limit_is_reported():
+def test_iteration_limit_is_reported(monkeypatch):
     rng = np.random.default_rng(3)
     a = rng.uniform(-1, 1, size=(10, 15))
     p = _problem(
         rng.uniform(0.1, 1, 15), a, rng.uniform(0.5, 2.0, 10),
         np.zeros(15), np.full(15, 2.0),
     )
-    sol = solve_lp(p, max_iterations=1)
+    monkeypatch.setattr(lpcore, "ITERATIONS_PER_DIMENSION", 0)
+    sol = solve_lp(p)
     assert sol.status == "iteration_limit"
     assert sol.x is None
 
@@ -311,8 +312,13 @@ def test_implicit_sets_match_explicit_rows_and_oracle(p):
         assert got.status == status == "optimal"
         assert got.objective == pytest.approx(obj + p.objective @ p.lower, abs=1e-7)
 
-    capped = solve_lp(p, max_iterations=1)
-    assert capped.iterations <= 1
+    # a function-scoped monkeypatch does not mix with @given
+    lpcore.ITERATIONS_PER_DIMENSION, per_dimension = 0, lpcore.ITERATIONS_PER_DIMENSION
+    try:
+        capped = solve_lp(p)
+    finally:
+        lpcore.ITERATIONS_PER_DIMENSION = per_dimension
+    assert capped.iterations == 0
     if capped.status != "iteration_limit":
         assert capped.status == got.status
         if got.status == "optimal":
