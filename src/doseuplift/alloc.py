@@ -98,13 +98,12 @@ class AllocationProblem:
         object.__setattr__(self, "benefits", benefits)
         object.__setattr__(self, "groups", groups)
 
-        pairs = []
-        for kind, eps in (("dose", self.eps_dt), ("outcome", self.eps_do)):
-            if eps is None or (eps >= 1.0 and not self.strict_eps_one):
-                continue
-            shape = self.cade.values.shape
-            weights = np.broadcast_to(self.cade.doses, shape) if kind == "dose" else self.cade.values
-            pairs.append((kind, float(eps), weights))
+        weights = fairness_weights(self.cade)
+        pairs = [
+            (kind, float(eps), weights[kind])
+            for kind, eps in (("dose", self.eps_dt), ("outcome", self.eps_do))
+            if eps is not None and (eps < 1.0 or self.strict_eps_one)
+        ]
         if pairs and not (np.any(groups == 0) and np.any(groups == 1)):
             warnings.warn(
                 "one protected group is empty; fairness constraints skipped",
@@ -133,9 +132,13 @@ class AllocationProblem:
 
     def active_fairness(self) -> tuple[tuple[str, float, np.ndarray], ...]:
         """``(kind, eps, weights)`` for each constraint pair that applies, after
-        slack and group checks; the (n, delta+1) ``weights`` hold the per-entry
-        dose (kind "dose") or effect (kind "outcome") whose group means it bounds."""
+        slack and group checks; ``weights`` is the kind's ``fairness_weights`` table."""
         return self._fairness
+
+
+def fairness_weights(cade: CadeMatrix) -> dict[str, np.ndarray]:
+    """Per kind of fairness pair, the (n, delta+1) table whose group means it bounds."""
+    return {"dose": np.broadcast_to(cade.doses, cade.values.shape), "outcome": cade.values}
 
 
 def proportional_costs(cade: CadeMatrix) -> np.ndarray:
@@ -425,7 +428,7 @@ def solve_exact_sweep(prob: AllocationProblem, budgets, **bnb_kwargs) -> list[So
     otherwise one branch-and-bound per budget."""
     if dp_applicable(prob):
         return solve_dp_sweep(prob, budgets)
-    return [solve_bnb(prob.with_budget(float(b)), **bnb_kwargs) for b in budgets]
+    return SOLVERS["bnb"](prob, budgets, **bnb_kwargs)
 
 
 def _build_lp(prob: AllocationProblem) -> LpProblem:
@@ -585,6 +588,16 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
     if not best_bound >= inc_obj:
         raise RuntimeError("certificate failed: the bound is below the objective")
     return _finish(status, inc_obj, incumbent, nodes, root_bound, best_bound, t0, **stats)
+
+
+# every solver by name, as a sweep giving one report per budget, in order; the
+# per-budget loops look their solver up when called, so a patched one is used
+SOLVERS = {
+    "greedy": lambda prob, budgets: [solve_greedy(prob.with_budget(float(b))) for b in budgets],
+    "dp": solve_dp_sweep,
+    "bnb": lambda prob, budgets, **kw: [solve_bnb(prob.with_budget(float(b)), **kw) for b in budgets],
+    "exact": solve_exact_sweep,
+}
 
 
 def flattening_budget(prob: AllocationProblem) -> float:

@@ -8,14 +8,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiments
-from .alloc import (
-    REPORT_CSV_HEADER,
-    load_problem,
-    solve_bnb,
-    solve_dp,
-    solve_exact,
-    solve_greedy,
-)
+from .alloc import REPORT_CSV_HEADER, SOLVERS, load_problem
 from .datagen import (
     GenConfig,
     GroundTruth,
@@ -98,13 +91,7 @@ def _cmd_allocate(args) -> int:
     prob = load_problem(args.problem)
     if args.budget is not None:
         prob = prob.with_budget(args.budget)
-    solver = {
-        "greedy": solve_greedy,
-        "dp": solve_dp,
-        "bnb": solve_bnb,
-        "exact": solve_exact,
-    }[args.solver]
-    report = solver(prob)
+    report = SOLVERS[args.solver](prob, [prob.budget])[0]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "report.csv").open("w", newline="") as fh:
@@ -171,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="solve a problem directory (cade/cost/meta)")
     p.add_argument("--problem", required=True, help="directory with cade.csv, cost.csv, meta.csv")
-    p.add_argument("--solver", default="exact", choices=["greedy", "dp", "bnb", "exact"])
+    p.add_argument("--solver", default="exact", choices=list(SOLVERS))
     p.add_argument("--budget", type=float, help="override the budget from meta.csv")
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_allocate)

@@ -93,6 +93,7 @@ class ExperimentConfig:
         for eps in self.eps_dt_grid + self.eps_do_grid:
             if not 0.0 <= eps <= 1.0:
                 raise ConfigError("fairness slack grids must lie in [0, 1]")
+        _benefit_bounds(self.benefits)
 
 
 def _parse_list(text: str, kind) -> tuple:
@@ -251,25 +252,37 @@ def build_estimator(name: str, cfg: ExperimentConfig, ds: Dataset, gt) -> object
         return oracle_estimator(gt)
     if name == "rf":
         grid = rf_grid(cfg)
-        if len(grid) > 1 and cfg.cv_folds >= 2:
-            best = cross_validate_rf(ds, grid, folds=cfg.cv_folds, seed=cfg.seed)
-        else:
-            best = grid[0]
-        return fit_rf_slearner(ds, best)
+        if len(grid) == 1:
+            return fit_rf_slearner(ds, grid[0])
+        if cfg.cv_folds < 2:
+            raise ConfigError(
+                f"an rf grid of {len(grid)} entries needs cv_folds >= 2, got {cfg.cv_folds}"
+            )
+        return fit_rf_slearner(ds, cross_validate_rf(ds, grid, folds=cfg.cv_folds, seed=cfg.seed))
     if name == "binned":
         return fit_binned_slearner(ds, dose_bins=cfg.binned_bins, k=cfg.binned_neighbors)
     raise ConfigError(f"unknown estimator {name!r}")
 
 
-def benefit_vector(cfg: ExperimentConfig, n: int) -> np.ndarray:
-    spec = cfg.benefits
+def _benefit_bounds(spec: str) -> tuple[float, float] | None:
+    """``(lo, hi)`` of a ``uniform:<lo>:<hi>`` benefit spec; None for ``ones``."""
     if spec == "ones":
+        return None
+    kind, *bounds = spec.split(":")
+    try:
+        lo, hi = (float(b) for b in bounds)
+    except ValueError:
+        lo = hi = np.nan
+    if kind != "uniform" or not np.isfinite([lo, hi]).all():
+        raise ConfigError(f"benefits must be ones or uniform:<lo>:<hi> (finite), got {spec!r}")
+    return lo, hi
+
+
+def benefit_vector(cfg: ExperimentConfig, n: int) -> np.ndarray:
+    bounds = _benefit_bounds(cfg.benefits)
+    if bounds is None:
         return np.ones(n)
-    if spec.startswith("uniform:"):
-        _, lo, hi = spec.split(":")
-        rng = np.random.default_rng([cfg.seed, 13])
-        return rng.uniform(float(lo), float(hi), size=n)
-    raise ConfigError(f"unknown benefit spec {spec!r}")
+    return np.random.default_rng([cfg.seed, 13]).uniform(*bounds, size=n)
 
 
 def _area_grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -292,6 +305,9 @@ def _slice_curve(curve: ValueCurve, cap: float) -> ValueCurve:
 # experiment 1: estimator comparison
 # ---------------------------------------------------------------------------
 
+_EXP1_SOLVERS = ("greedy", "exact")  # exp1's allocation methods, in column order
+
+
 def _exp1_scores(est, cfg: ExperimentConfig, ds: Dataset, gt, true_cade, grid) -> tuple:
     """``(mise, {solver: value curve})`` of one exp1 row; ``est=None`` is the
     full-information row, whose MISE is None.
@@ -310,7 +326,7 @@ def _exp1_scores(est, cfg: ExperimentConfig, ds: Dataset, gt, true_cade, grid) -
     prob = make_problem(est_cade, budget=0.0, groups=ds.protected)
     curves = {
         solver: value_curve(prob, grid, solver=solver, evaluation=true_cade)
-        for solver in ("greedy", "exact")
+        for solver in _EXP1_SOLVERS
     }
     return err, curves
 
@@ -332,7 +348,7 @@ def run_exp1(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
         _exp1_scores, [None, *ests], cfg, ds, gt, true_cade, grid
     )
 
-    columns = [(cap, solver) for cap in cfg.auuc_caps for solver in ("greedy", "exact")]
+    columns = [(cap, solver) for cap in cfg.auuc_caps for solver in _EXP1_SOLVERS]
     rows = []
     for name, (err, presc_curves) in zip(cfg.estimators, scores):
         presc_curves = presc_curves or opt_curves

@@ -6,18 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# solve_bnb, solve_dp and solve_exact are not called here; they stay in this
-# namespace only because the benchmark's tracer (perfbench/tracing.py)
-# patches the solver names here.
+# solve_bnb, solve_dp, solve_exact and solve_greedy are not called here; they
+# stay in this namespace only because the benchmark's tracer
+# (perfbench/tracing.py) patches the solver names here.
 from .alloc import (  # noqa: F401
+    SOLVERS,
     AllocationProblem,
     Policy,
+    fairness_weights,
     group_means,
     policy_value,
     solve_bnb,
     solve_dp,
     solve_exact,
-    solve_exact_sweep,
     solve_greedy,
 )
 from .estimators import CadeMatrix
@@ -75,19 +76,16 @@ def value_curve(
 ) -> ValueCurve:
     """Solve at each budget with the problem's own matrix; evaluate on another.
 
-    ``evaluation=None`` scores policies against the problem's own dose-effect
-    matrix (the solved objective). Passing the ground-truth matrix instead
-    yields the realized-value curve of an estimated policy. The exact curve
-    of a budget-only problem comes from one DP table for the whole grid.
+    ``solver`` names an ``alloc.SOLVERS`` sweep. ``evaluation=None`` scores
+    policies against the problem's own dose-effect matrix (the solved
+    objective); the ground-truth matrix instead yields the realized-value
+    curve of an estimated policy.
     """
     budgets = np.asarray(budgets, dtype=float)
     eval_cade = evaluation if evaluation is not None else problem.cade
-    if solver == "greedy":
-        reports = [solve_greedy(problem.with_budget(float(b))) for b in budgets]
-    elif solver == "exact":
-        reports = solve_exact_sweep(problem, budgets)
-    else:
+    if solver not in SOLVERS:
         raise MetricError(f"unknown solver {solver!r}")
+    reports = SOLVERS[solver](problem, budgets)
     values = [policy_value(r.policy, eval_cade, problem.benefits) for r in reports]
     return ValueCurve(budgets=budgets, values=np.asarray(values))
 
@@ -120,8 +118,6 @@ def fairness_report(policy: Policy, cade: CadeMatrix, groups: np.ndarray) -> Fai
         raise MetricError("policy and dose-effect matrix shapes differ")
     if not (np.any(groups == 0) and np.any(groups == 1)):
         raise MetricError("both protected groups must be non-empty")
-    dose_g0, dose_g1 = group_means(policy, np.broadcast_to(cade.doses, cade.values.shape), groups)
-    gain_g0, gain_g1 = group_means(policy, cade.values, groups)
-    return FairnessReport(
-        mean_dose_g0=dose_g0, mean_dose_g1=dose_g1, mean_gain_g0=gain_g0, mean_gain_g1=gain_g1
-    )
+    weights = fairness_weights(cade)
+    dose, gain = (group_means(policy, weights[kind], groups) for kind in ("dose", "outcome"))
+    return FairnessReport(*dose, *gain)

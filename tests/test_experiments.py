@@ -135,6 +135,32 @@ def test_parse_config_feature_subsample_count():
             parse_config(f"seed = 1\nrf_feature_subsample = {bad}\n")
 
 
+def test_rf_grid_without_cross_validation_is_refused():
+    for folds in (0, 1):
+        cfg = ExperimentConfig(data="synthetic:60", rf_trees=(3, 9), cv_folds=folds)
+        ds, gt = dataset_from_config(cfg)
+        with pytest.raises(ConfigError, match=f"2 entries needs cv_folds >= 2, got {folds}"):
+            experiments.build_estimator("rf", cfg, ds, gt)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["uniform:1", "uniform:a:b", "uniform:2:1:3", "uniform:0:inf", "uniform:nan:1", "normal:0:1", ""],
+)
+def test_malformed_benefit_spec_is_refused_at_config(spec):
+    with pytest.raises(ConfigError, match=f"benefits must be .* got {spec!r}"):
+        ExperimentConfig(benefits=spec)
+    with pytest.raises(ConfigError, match="benefits must be"):
+        parse_config(f"benefits = {spec}\n")
+
+
+def test_benefit_specs_parse():
+    ones = experiments.benefit_vector(ExperimentConfig(benefits="ones"), 3)
+    assert np.array_equal(ones, np.ones(3))
+    drawn = experiments.benefit_vector(ExperimentConfig(benefits="uniform:2:3", seed=4), 50)
+    assert np.array_equal(drawn, np.random.default_rng([4, 13]).uniform(2.0, 3.0, size=50))
+
+
 def test_parse_config_round_trips_config_lines():
     special = parse_config("rf_max_depth = 5,none\nrf_feature_subsample = 3\nbudgets = 1.5,2,4\n")
     for cfg in (ExperimentConfig(), special):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from doseuplift.alloc import (
+    SOLVERS,
     AllocError,
     Policy,
     make_problem,
     policy_value,
     solve_bnb,
     solve_exact,
+    solve_greedy,
 )
+from doseuplift.cli import build_parser
 from doseuplift.datagen import GenConfig, generate_dataset, synth_covariates
 from doseuplift.estimators import (
     CadeMatrix,
@@ -28,6 +31,8 @@ from doseuplift.metrics import (
     regret_norm,
     value_curve,
 )
+
+from .oracles import brute_force
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +153,32 @@ def test_value_curve_empty_and_invalid_budgets(pipeline, solver):
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(AllocError, match="budget"):
             value_curve(prob, [1.0, bad], solver=solver)
+
+
+def _allocate_solver_choices():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    return next(a.choices for a in commands.choices["allocate"]._actions if a.dest == "solver")
+
+
+@pytest.mark.parametrize("solver", [*SOLVERS, "simplex"])
+def test_value_curve_takes_every_name_of_the_solver_table(pipeline, solver):
+    assert list(SOLVERS) == _allocate_solver_choices() == ["greedy", "dp", "bnb", "exact"]
+    ds, gt, true_cade = pipeline
+    # budget-only, and the proportional costs are integral at the grid resolution
+    small = CadeMatrix(values=true_cade.values[:8, :5], doses=true_cade.doses[:5] * 2.5)
+    prob = make_problem(small, budget=0.0, groups=ds.protected[:8])
+    budgets = [0.5, 1.0, 2.0, 3.0]
+    if solver not in SOLVERS:
+        with pytest.raises(MetricError, match="unknown solver 'simplex'"):
+            value_curve(prob, budgets, solver=solver)
+        return
+    curve = value_curve(prob, budgets, solver=solver)
+    if solver == "greedy":
+        expected = [solve_greedy(prob.with_budget(b)).objective for b in budgets]
+        assert np.array_equal(curve.values, expected)
+    else:
+        expected = [brute_force(prob.with_budget(b)).objective for b in budgets]
+        assert curve.values == pytest.approx(expected, abs=1e-9)
 
 
 def test_value_curve_rejects_unsorted_budgets():
