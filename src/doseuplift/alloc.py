@@ -27,7 +27,7 @@ from .estimators import (
     save_cade_csv,
     write_dose_csv,
 )
-from .lpcore import LpProblem, solve_lp
+from .lpcore import LpProblem, LpStart, solve_lp
 
 BUDGET_TOL = 1e-9
 FAIRNESS_TOL = 1e-7
@@ -174,7 +174,8 @@ def make_problem(
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """Exactly one dose per entity, held as int16 dose indices; ``matrix``,
+    """Exactly one dose per entity, held as dose indices of the smallest
+    unsigned type that fits the grid (uint8 up to 256 doses); ``matrix``,
     the binary entity x dose assignment, is built on demand. Two policies
     are equal when they assign the same doses on the same grid size."""
 
@@ -189,7 +190,7 @@ class Policy:
             raise AllocError(f"dose indices must lie in 0..{self.n_doses - 1}")
         if self.n_doses > np.iinfo(np.int16).max + 1:
             raise AllocError(f"at most 32768 doses, got {self.n_doses}")
-        idx = idx.astype(np.int16)
+        idx = idx.astype(np.min_scalar_type(self.n_doses - 1))
         idx.flags.writeable = False
         object.__setattr__(self, "dose_indices", idx)
         object.__setattr__(self, "n_doses", int(self.n_doses))
@@ -477,6 +478,82 @@ def _build_lp(prob: AllocationProblem) -> LpProblem:
     )
 
 
+def _knapsack_start(
+    values: np.ndarray, costs: np.ndarray, budget: float, lower: np.ndarray, upper: np.ndarray
+) -> LpStart | None:
+    """The optimum of a budget-only node LP (``_build_lp`` under the node's
+    bounds), as a start for ``solve_lp``; None when the node is infeasible.
+
+    Without fairness rows the node LP is the LP relaxation of a
+    multiple-choice knapsack, whose optimum is a greedy (Sinha & Zoltners
+    1979). Each free entity starts at its best zero-cost dose and climbs the
+    concave hull of its (cost, value) points, leaving out doses fixed to 0.
+    The hull segments of all entities are taken in falling slope order while
+    the budget lasts, the first that does not fit in part. Entities fixed to
+    a dose pay for it first; when that alone exceeds the budget, the node LP
+    is infeasible. The fractional segment's upper end fills the budget row's
+    slot, so its slope is the row price, and each entity's vertex maximizes
+    value minus that price times cost: the start is optimal.
+    """
+    n, n_doses = values.shape
+    delta = n_doses - 1
+    rows = np.arange(n)
+    fixed = lower.reshape(n, delta) > 0.0
+    budget = budget - float(costs[:, 1:][fixed].sum())
+    if budget < 0.0:
+        return None
+    open_ = np.ones((n, n_doses), dtype=bool)
+    open_[:, 1:] = (upper.reshape(n, delta) > 0.0) & ~fixed.any(axis=1, keepdims=True)
+
+    # path[:, k] is each entity's hull vertex after k segments
+    path = [np.argmax(np.where(open_ & (costs == 0.0), values, -np.inf), axis=1)]
+    slopes, gains = [], []
+    slope = np.empty((n, n_doses))
+    for _ in range(delta):
+        cur = path[-1]
+        dc = costs - costs[rows, cur][:, None]
+        slope.fill(-np.inf)
+        np.divide(values - values[rows, cur][:, None], dc, out=slope, where=open_ & (dc > 0.0))
+        nxt = slope.argmax(axis=1)
+        s = slope[rows, nxt]
+        climb = s > 0.0
+        if not climb.any():
+            break
+        path.append(np.where(climb, nxt, cur))
+        slopes.append(np.where(climb, s, -np.inf))
+        gains.append(dc[rows, nxt])
+    path = np.stack(path, axis=1)
+
+    vertex, slot = path[:, 0], n * delta  # no fractional segment: the row's slack
+    frac = None
+    if slopes:
+        # float round-off must not let a later segment of an entity overtake an earlier one
+        slope_seg = np.minimum.accumulate(np.stack(slopes, axis=1), axis=1)
+        ent, step = np.nonzero(slope_seg > 0.0)  # entity-major, so ties keep hull order
+        order = np.argsort(-slope_seg[ent, step], kind="stable")
+        ent, step = ent[order], step[order]
+        cum = np.cumsum(np.stack(gains, axis=1)[ent, step])
+        n_full = int(np.searchsorted(cum, budget, side="right"))
+        # an entity's segments are taken as a prefix, so counting them finds its vertex
+        vertex = path[rows, np.bincount(ent[:n_full], minlength=n)]
+        if n_full < ent.size:
+            e, k = int(ent[n_full]), int(step[n_full])
+            used = float(cum[n_full - 1]) if n_full else 0.0
+            t = min(max((budget - used) / (cum[n_full] - used), 0.0), 1.0)
+            frac = e, int(path[e, k + 1]), t
+    x = np.zeros((n, n_doses))
+    x[rows, vertex] = 1.0
+    # a vertex at dose 0 leaves its set's slack as the key
+    keys = np.where(vertex > 0, rows * delta + vertex - 1, n * delta + 1 + rows)
+    if frac is not None:
+        e, to, t = frac
+        x[e, vertex[e]] = 1.0 - t
+        x[e, to] = t
+        slot = e * delta + to - 1
+    x_lp = np.maximum(x[:, 1:].ravel(), lower)
+    return LpStart(x=x_lp, keys=keys, basis=np.array([slot]))
+
+
 def _policy_from_lp_x(x: np.ndarray, n: int, delta: int) -> Policy:
     mat = x.reshape(n, delta)
     best = np.argmax(mat, axis=1)
@@ -503,18 +580,22 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
     its proven bound instead of failing. Before either is reported, the
     incumbent is re-checked against budget and fairness and the bound
     against the objective, with arithmetic that does not go through the LP;
-    a failed check raises ``RuntimeError``. ``stats`` counts the node LPs
-    (``lp_calls``) and their pivots, basis inversions and pricing passes
-    (``lp_pivots``, ``lp_inversions``, ``lp_pricings``).
+    a failed check raises ``RuntimeError``. Without fairness rows, every
+    node LP starts at its optimum from ``_knapsack_start``, so it takes no
+    pivot; the node LPs of fairness problems start from all-lower. ``stats``
+    counts the node LPs (``lp_calls``) and their pivots, basis inversions
+    and pricing passes (``lp_pivots``, ``lp_inversions``, ``lp_pricings``).
     """
     t0 = time.perf_counter()
     n, delta = prob.n, prob.delta
     base = _build_lp(prob)
+    values = prob.value_matrix()
+    budget_only = not prob.active_fairness()
 
-    if prob.active_fairness():
-        incumbent = Policy(np.zeros(n, dtype=int), delta + 1)
-    else:
+    if budget_only:
         incumbent = solve_greedy(prob).policy
+    else:
+        incumbent = Policy(np.zeros(n, dtype=int), delta + 1)
     inc_obj = policy_value(incumbent, prob.cade, prob.benefits)
 
     # a node: (-parent bound, seq, variables fixed to 0, variables fixed to 1)
@@ -540,7 +621,10 @@ def solve_bnb(prob: AllocationProblem, node_limit: int = 1_000_000) -> SolveRepo
         upper.reshape(n, delta)[fixed1 // delta] = 0.0  # one dose per entity: siblings drop to zero
         upper[fixed0] = 0.0
         lower[fixed1] = upper[fixed1] = 1.0
-        sol = solve_lp(base.with_bounds(lower, upper))
+        start = None
+        if budget_only:
+            start = _knapsack_start(values, prob.costs, prob.budget, lower, upper)
+        sol = solve_lp(base.with_bounds(lower, upper), start=start)
         stats["lp_calls"] += 1
         stats["lp_pivots"] += sol.iterations
         stats["lp_inversions"] += sol.stats.get("inversions", 0)
@@ -598,6 +682,8 @@ SOLVERS = {
     "bnb": lambda prob, budgets, **kw: [solve_bnb(prob.with_budget(float(b)), **kw) for b in budgets],
     "exact": solve_exact_sweep,
 }
+# the sweeps that may search a branch-and-bound tree, so take a node_limit
+NODE_LIMIT_SOLVERS = ("bnb", "exact")
 
 
 def flattening_budget(prob: AllocationProblem) -> float:

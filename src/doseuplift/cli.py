@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiments
-from .alloc import REPORT_CSV_HEADER, SOLVERS, load_problem
+from .alloc import NODE_LIMIT_SOLVERS, REPORT_CSV_HEADER, SOLVERS, load_problem
 from .datagen import (
     GenConfig,
     GroundTruth,
@@ -91,7 +91,15 @@ def _cmd_allocate(args) -> int:
     prob = load_problem(args.problem)
     if args.budget is not None:
         prob = prob.with_budget(args.budget)
-    report = SOLVERS[args.solver](prob, [prob.budget])[0]
+    kw = {}
+    if args.node_limit is not None:
+        if args.solver not in NODE_LIMIT_SOLVERS:
+            solvers = " or ".join(NODE_LIMIT_SOLVERS)
+            args.parser.error(f"--node-limit applies to --solver {solvers}")
+        if args.node_limit < 1:
+            args.parser.error("--node-limit must be at least 1")
+        kw["node_limit"] = args.node_limit
+    report = SOLVERS[args.solver](prob, [prob.budget], **kw)[0]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "report.csv").open("w", newline="") as fh:
@@ -160,8 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, help="directory with cade.csv, cost.csv, meta.csv")
     p.add_argument("--solver", default="exact", choices=list(SOLVERS))
     p.add_argument("--budget", type=float, help="override the budget from meta.csv")
+    p.add_argument(
+        "--node-limit", type=int, metavar="N",
+        help="branch-and-bound nodes before reporting the incumbent and its bound "
+        "(bnb and exact only; default 1000000)",
+    )
     p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_allocate)
+    p.set_defaults(func=_cmd_allocate, parser=p)
 
     for name, runner, help_text in (
         ("exp1", experiments.run_exp1, "estimator comparison table"),

@@ -116,6 +116,22 @@ class LpProblem:
 
 
 @dataclass(frozen=True)
+class LpStart:
+    """A primal-feasible basic start for ``solve_lp``.
+
+    Columns are numbered [structurals | row slacks | set slacks]: column j <
+    n_cols is a structural, n_cols + i is row i's slack and n_cols + n_rows + s
+    is set s's slack. ``x`` holds the structural values, ``keys[s]`` the basic
+    key of set s (a member or the set's slack), and ``basis[i]`` the column in
+    row slot i. Every other column must sit at one of its bounds.
+    """
+
+    x: np.ndarray
+    keys: np.ndarray
+    basis: np.ndarray
+
+
+@dataclass(frozen=True)
 class LpSolution:
     """An LP's result; ``x`` is None unless ``status`` is ``optimal``."""
 
@@ -136,11 +152,13 @@ class _Simplex:
     slot per coupling row (``basis``). The null column is all zeros and the
     key of set -1, so "column minus its set's key column" needs no branch.
     ``ar`` and ``cr`` hold every column of the rows and of the phase
-    objective minus its set's key column. ``ar`` starts as the plain rows,
-    taken over, not copied: every start key is a set slack, an all-zero
-    column. A key change re-reduces its set's members from ``a``, the
-    problem's matrix; ``by_set[set_start[s]:set_start[s + 1]]`` lists the
-    members of set s in column order, its slack last. ``sign`` is +1 for a
+    objective minus its set's key column. From the all-lower start every
+    key is a set slack, an all-zero column, so ``ar`` starts as the plain
+    rows, taken over, not copied; from a given start every column is
+    reduced by its key in one step. A key change re-reduces its set's
+    members from ``a``, the problem's matrix;
+    ``by_set[set_start[s]:set_start[s + 1]]`` lists the members of set s in
+    column order, its slack last. ``sign`` is +1 for a
     nonbasic variable at its lower bound, -1 at its upper bound, and 0 for a
     basic or fixed one, so ``d * sign`` is the gain of letting a column
     enter. ``b_inv`` (the inverse of ``ar[:, basis]``), the row prices
@@ -328,15 +346,19 @@ class _Simplex:
                     bland = True
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
+def solve_lp(problem: LpProblem, start: LpStart | None = None) -> LpSolution:
     """Solve the LP; never returns a silently wrong answer.
 
-    The start puts every column at its lower bound, each set's slack in its
-    key and each row's slack in its slot. Phase I adds artificial variables
-    only for rows whose slack cannot absorb the residual, so formulations
-    with an all-slack feasible origin skip straight to Phase II. An
-    ``optimal`` point is re-checked against every row, set and bound, and a
-    failed check raises ``RuntimeError``.
+    Without ``start``, every column starts at its lower bound, each set's
+    slack in its key and each row's slack in its slot. Phase I adds
+    artificial variables only for rows whose slack cannot absorb the
+    residual, so formulations with an all-slack feasible origin skip
+    straight to Phase II. A ``start`` is checked against every bound, set and
+    row within ``FEAS_TOL`` and must be basic (see ``LpStart``); a bad one
+    raises ``LpError``. Phase II then runs from it, so an optimal start
+    costs one pricing pass and no pivot. An ``optimal`` point is re-checked
+    against every row, set and bound, and a failed check raises
+    ``RuntimeError``.
     """
     m, n = problem.n_rows, problem.n_cols
     limit = ITERATIONS_PER_DIMENSION * (m + n)
@@ -347,9 +369,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if np.any(set_lower > 1.0 + FEAS_TOL):
         return LpSolution("infeasible", float("nan"), None, 0)
 
-    # row slacks with every column at its lower bound; a negative one needs an artificial
-    resid = problem.rhs - problem.a_matrix @ lower
-    art_rows = np.flatnonzero(resid < -1e-12)
+    if start is None:
+        # row slacks with every column at its lower bound; a negative one needs an artificial
+        resid = problem.rhs - problem.a_matrix @ lower
+        art_rows = np.flatnonzero(resid < -1e-12)
+    else:
+        art_rows = np.empty(0, dtype=np.intp)
     n_art = art_rows.size
 
     # columns: structurals | row slacks | set slacks | artificials | null
@@ -365,17 +390,19 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     lo = np.concatenate([lower, np.zeros(m + n_sets + n_art + 1)])
     hi = np.concatenate([upper, np.full(m + n_sets + n_art, np.inf), [0.0]])
 
-    x = np.zeros(n_ext)
-    x[:n] = lower
-    x[first_slack:first_set] = np.maximum(resid, 0.0)
-    x[first_set:first_art] = np.maximum(1.0 - set_lower, 0.0)
-    x[first_art:-1] = -resid[art_rows]
-    at_upper = np.zeros(n_ext, dtype=bool)
-    basis = first_slack + np.arange(m)
-    basis[art_rows] = first_art + np.arange(n_art)
-    state = _Simplex(
-        problem.a_matrix, a, sets, lo, hi, x, at_upper, basis, first_set + np.arange(n_sets)
-    )
+    if start is None:
+        x = np.zeros(n_ext)
+        x[:n] = lower
+        x[first_slack:first_set] = np.maximum(resid, 0.0)
+        x[first_set:first_art] = np.maximum(1.0 - set_lower, 0.0)
+        x[first_art:-1] = -resid[art_rows]
+        at_upper = np.zeros(n_ext, dtype=bool)
+        basis = first_slack + np.arange(m)
+        basis[art_rows] = first_art + np.arange(n_art)
+        key, ar = first_set + np.arange(n_sets), a
+    else:
+        x, at_upper, basis, key, ar = _start_state(problem, start, a, sets, lo, hi)
+    state = _Simplex(problem.a_matrix, ar, sets, lo, hi, x, at_upper, basis, key)
 
     if n_art:
         c1 = np.zeros(n_ext)
@@ -399,7 +426,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         return LpSolution("iteration_limit", float("nan"), None, state.iterations, state.stats())
 
     x_out = state.x[:n]
-    off_bounds = max(float(np.max(lower - x_out, initial=0.0)), float(np.max(x_out - upper, initial=0.0)))
+    off_bounds = _bound_violation(problem, x_out)
     # snap tiny bound violations introduced by float drift
     x_out = np.minimum(np.maximum(x_out, lower), upper)
     worst = max(off_bounds, constraint_violation(problem, x_out))
@@ -407,6 +434,58 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         raise RuntimeError(f"optimal point violates a row, set or bound by {worst:.3e}")
     objective = float(problem.objective @ x_out)
     return LpSolution("optimal", objective, x_out, state.iterations, state.stats())
+
+
+def _start_state(problem: LpProblem, start: LpStart, a, sets, lo, hi):
+    """The extended point, at-upper bits, slot columns, keys and key-reduced
+    columns of a start; ``LpError`` when it breaks a bound, set or row or is
+    not a basic solution."""
+    m, n = problem.n_rows, problem.n_cols
+    n_ext = a.shape[1]
+    n_sets = n_ext - 1 - n - m
+    x_in = np.asarray(start.x, dtype=float)
+    keys = np.array(start.keys, dtype=np.intp)
+    basis = np.array(start.basis, dtype=np.intp)
+    if x_in.shape != (n,) or keys.shape != (n_sets,) or basis.shape != (m,):
+        raise LpError(f"a start gives {n} values, {n_sets} keys and {m} slot columns")
+    basic = np.concatenate([keys, basis])
+    if np.any((basic < 0) | (basic >= n_ext - 1)):
+        raise LpError("start keys and slot columns must be columns of the problem")
+    nonbasic = np.ones(n_ext, dtype=bool)
+    nonbasic[basic] = False
+    if n_ext - np.count_nonzero(nonbasic) != basic.size:
+        raise LpError("start keys and slot columns must be distinct")
+    if np.any(sets[keys] != np.arange(n_sets)):
+        raise LpError("each start key must be a member or the slack of its set")
+    worst = max(_bound_violation(problem, x_in), constraint_violation(problem, x_in))
+    if worst > FEAS_TOL:
+        raise LpError(f"start violates a row, set or bound by {worst:.3e}")
+
+    member = problem.sets >= 0
+    x = np.zeros(n_ext)
+    x[:n] = x_in
+    x[n:n + m] = problem.rhs - problem.a_matrix @ x_in
+    x[n + m:-1] = 1.0 - np.bincount(problem.sets[member], x_in[member], minlength=n_sets)
+    at_lower = np.abs(x - lo) <= FEAS_TOL
+    at_upper = nonbasic & ~at_lower & (np.abs(x - hi) <= FEAS_TOL)
+    off = np.flatnonzero(nonbasic & ~at_lower & ~at_upper)
+    if off.size:
+        raise LpError(f"start is not basic: nonbasic column {off[0]} lies between its bounds")
+    x = np.where(at_upper, hi, np.where(nonbasic, lo, np.clip(x, lo, hi)))
+
+    # every column minus its set's key column; set -1 reduces by the null column
+    ar = a - a[:, np.append(keys, n_ext - 1)[sets]]
+    try:
+        np.linalg.inv(ar[:, basis])
+    except np.linalg.LinAlgError:
+        raise LpError("start slot columns give a singular basis") from None
+    return x, at_upper, basis, keys, ar
+
+
+def _bound_violation(problem: LpProblem, x: np.ndarray) -> float:
+    """Largest violation of any variable bound of the problem at point x."""
+    below = float(np.max(problem.lower - x, initial=0.0))
+    return max(below, float(np.max(x - problem.upper, initial=0.0)))
 
 
 def constraint_violation(problem: LpProblem, x: np.ndarray) -> float:

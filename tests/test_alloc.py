@@ -15,6 +15,7 @@ from doseuplift.alloc import (
     AllocationProblem,
     Policy,
     _build_lp,
+    _knapsack_start,
     dp_applicable,
     fairness_violation,
     flattening_budget,
@@ -32,6 +33,7 @@ from doseuplift.alloc import (
     solve_greedy,
 )
 from doseuplift.estimators import CadeMatrix
+from doseuplift.lpcore import solve_lp
 from doseuplift.metrics import value_curve
 
 from .oracles import brute_force
@@ -142,7 +144,7 @@ def test_policy_holds_compact_dose_indices_and_rejects_bad_ones():
     p = Policy([1, 0, 2, 2], 3)
     assert np.array_equal(p.matrix, m) and p.matrix.dtype == np.int8
     assert p.shape == m.shape
-    assert np.array_equal(p.dose_indices, [1, 0, 2, 2]) and p.dose_indices.nbytes <= 2 * len(m)
+    assert np.array_equal(p.dose_indices, [1, 0, 2, 2]) and p.dose_indices.nbytes <= len(m)
     assert not p.dose_indices.flags.writeable
     assert np.array_equal(p.doses(np.asarray([0.0, 0.5, 1.0])), [0.5, 0.0, 1.0, 1.0])
     table = np.arange(12.0).reshape(4, 3)
@@ -627,8 +629,8 @@ def test_bnb_stats_count_node_lps_and_stay_out_of_the_csv_row(monkeypatch):
     counts = []
     real_solve_lp = alloc.solve_lp
 
-    def counted(lp):
-        sol = real_solve_lp(lp)
+    def counted(lp, **kw):
+        sol = real_solve_lp(lp, **kw)
         work = sol.stats.get("inversions", 0), sol.stats.get("pricings", 0)
         counts.append((sol.iterations, *work))
         return sol
@@ -659,21 +661,27 @@ def test_bnb_certificate_refuses_an_over_budget_incumbent(monkeypatch):
         solve_bnb(prob)
 
 
+def _paper_scale_cade():
+    """The n=747 seed-2024 oracle problem of the bnb-747 benchmark workload."""
+    cov = datagen.synth_covariates(747, 2024)
+    ds, gt = datagen.generate_dataset(cov, datagen.GenConfig(seed=2024))
+    return estimators.cade_matrix(estimators.oracle_estimator(gt), ds, 10), ds.protected
+
+
 def test_bnb_paper_scale_root_lps():
     """The two n=747 seed-2024 problems of the bnb-747 benchmark workload.
 
     The pivot counts pin the simplex's pivot rule, and the inversion and
     pricing counts what it recomputes per pivot: a change to either updates
-    them here.
+    them here. The budget-only root starts at its knapsack LP optimum, which
+    one inversion and one pricing pass certify.
     """
-    cov = datagen.synth_covariates(747, 2024)
-    ds, gt = datagen.generate_dataset(cov, datagen.GenConfig(seed=2024))
-    cade = estimators.cade_matrix(estimators.oracle_estimator(gt), ds, 10)
+    cade, groups = _paper_scale_cade()
     for eps, pivots, inversions, pricings, bound in (
-        (None, 816, 71, 426, 59.18265927317723),
+        (None, 0, 1, 1, 59.18265927317723),
         (0.25, 1102, 392, 901, 58.23984991872032),
     ):
-        prob = make_problem(cade, budget=140.0, groups=ds.protected, eps_dt=eps, eps_do=eps)
+        prob = make_problem(cade, budget=140.0, groups=groups, eps_dt=eps, eps_do=eps)
         report = solve_bnb(prob, node_limit=1)
         assert report.stats == {
             "lp_calls": 1, "lp_pivots": pivots, "lp_inversions": inversions, "lp_pricings": pricings
@@ -681,10 +689,100 @@ def test_bnb_paper_scale_root_lps():
         assert report.root_bound == pytest.approx(bound, abs=1e-9)
 
 
+def test_bnb_budget_only_nodes_take_no_pivots_at_paper_scale():
+    """Criterion 8's run: every node LP starts at its optimum, so none pivots."""
+    cade, groups = _paper_scale_cade()
+    report = solve_bnb(make_problem(cade, budget=140.0, groups=groups), node_limit=200)
+    assert (report.status, report.nodes, report.stats["lp_calls"]) == ("limit", 200, 200)
+    assert report.stats["lp_pivots"] == 0
+
+
+def _assert_knapsack_start_is_the_lp_optimum(prob, lower, upper):
+    lp = _build_lp(prob).with_bounds(lower, upper)
+    start = _knapsack_start(prob.value_matrix(), prob.costs, prob.budget, lower, upper)
+    cold = solve_lp(lp)
+    if start is None:
+        assert cold.status == "infeasible"
+        return
+    warm = solve_lp(lp, start=start)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert warm.iterations == 0
+
+
+def _node_bounds(n, delta, fix_one=(), fix_zero=()):
+    """A branch-and-bound node's bounds: each variable of ``fix_one`` to 1 (its
+    siblings to 0), each of ``fix_zero`` to 0."""
+    lower, upper = np.zeros(n * delta), np.ones(n * delta)
+    for var in fix_one:
+        upper.reshape(n, delta)[var // delta] = 0.0
+        lower[var] = upper[var] = 1.0
+    upper[list(fix_zero)] = 0.0
+    return lower, upper
+
+
+@pytest.mark.parametrize(
+    "values, costs, budget, fix_one",
+    [
+        ([[0.0, 0.5, 0.7]], [[0.0, 0.0, 1.0]], 0.5, ()),  # zero-cost dose, positive value
+        ([[0.0, -0.2, 0.3], [0.0, -0.1, -0.4]], [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], 2.0, ()),
+        ([[0.0, 0.4, 0.6, 0.2]], [[0.0, 1.0, 0.5, 0.25]], 0.6, ()),  # costs fall with the dose
+        ([[0.0, 0.5], [0.0, 0.5], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0], [0.0, 2.0]], 1.5, ()),
+        ([[0.0, 0.3, 0.5], [0.0, 0.2, 0.9]], [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], 0.0, ()),
+        ([[0.0, 0.3, 0.5], [0.0, 0.2, 0.9]], [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], 1.5, ()),
+        ([[0.0, 0.3, 0.5], [0.0, 0.2, 0.9]], [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], 0.9, (1, 3)),
+    ],
+    ids=["zero-cost", "negative", "non-monotone", "equal-slopes", "budget-0", "budget-at-sum",
+         "forced-over-budget"],
+)
+def test_knapsack_start_is_the_node_lp_optimum(values, costs, budget, fix_one):
+    groups = np.zeros(len(values), dtype=int)
+    prob = make_problem(_cade(values), budget=budget, groups=groups, costs=np.asarray(costs))
+    _assert_knapsack_start_is_the_lp_optimum(prob, *_node_bounds(prob.n, prob.delta, fix_one))
+
+
+@st.composite
+def _budget_only_nodes(draw):
+    """A budget-only problem and one branch-and-bound node's bounds on it.
+
+    Values come from a quarter-unit grid and costs from a half-unit grid, so
+    zero-cost doses with positive value, negative values, costs that fall
+    with the dose and equal slopes across entities are common. Budgets on the
+    half-unit grid land exactly on cumulative segment sums (0 included), and
+    the doses fixed to 1 may cost more than the budget.
+    """
+    n = draw(st.integers(1, 5))
+    delta = draw(st.integers(1, 4))
+    cells = n * delta
+
+    def table(lo, hi, step):
+        draws = draw(st.lists(st.integers(lo, hi), min_size=cells, max_size=cells))
+        out = np.zeros((n, delta + 1))
+        out[:, 1:] = np.reshape(draws, (n, delta)) * step
+        return out
+
+    values, costs = table(-2, 4, 0.25), table(0, 4, 0.5)
+    budget = draw(st.integers(0, 4 * n)) / 2
+    prob = make_problem(_cade(values), budget=budget, groups=np.zeros(n, dtype=int), costs=costs)
+    fix_one = [e * delta + d for e, d in enumerate(draw(
+        st.lists(st.integers(-delta, delta - 1), min_size=n, max_size=n)
+    )) if d >= 0]
+    fixed = {v // delta for v in fix_one}
+    fix_zero = [v for v in draw(st.sets(st.integers(0, cells - 1))) if v // delta not in fixed]
+    return prob, _node_bounds(n, delta, fix_one, fix_zero)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_budget_only_nodes())
+def test_knapsack_start_matches_a_cold_solve(node):
+    prob, (lower, upper) = node
+    _assert_knapsack_start_is_the_lp_optimum(prob, lower, upper)
+
+
 @pytest.mark.parametrize(
     "seed, eps_dt, eps_do, node_limit, status, nodes, pivots, objective",
     [
-        (0, None, None, 1_000_000, "optimal", 1, 31, 2.9138703085858837),
+        (0, None, None, 1_000_000, "optimal", 1, 0, 2.9138703085858837),
         (0, 0.25, None, 1_000_000, "optimal", 19, 551, 2.8541929565201776),
         (0, 0.5, 0.5, 1_000_000, "optimal", 21, 720, 2.8302250855321254),
         (2, 0.5, 0.5, 1_000_000, "optimal", 129, 2954, 2.760123563429335),

@@ -459,6 +459,35 @@ def test_cli_generate_fit_allocate_roundtrip(tmp_path, capsys):
     assert len(policy_rows) == cade.n
 
 
+def test_cli_allocate_node_limit_reaches_the_tree_searches_only(tmp_path, capsys):
+    from doseuplift.alloc import make_problem, save_problem
+    from doseuplift.estimators import CadeMatrix
+
+    rng = np.random.default_rng(5)
+    values = rng.uniform(-0.2, 0.9, size=(20, 6))
+    values[:, 0] = 0.0
+    cade = CadeMatrix(values=values, doses=np.arange(6) / 5)
+    prob_dir = tmp_path / "prob"
+    save_problem(make_problem(cade, budget=3.3, groups=np.arange(20) % 2, eps_dt=0.25), prob_dir)
+    allocate = ["allocate", "--problem", str(prob_dir), "--out"]
+
+    def report(out):
+        return _read_csv(out / "report.csv")[1][0]
+
+    assert main(allocate + [str(tmp_path / "full"), "--solver", "bnb"]) == 0
+    assert int(report(tmp_path / "full")[3]) > 1
+    for solver in ("bnb", "exact"):
+        out = tmp_path / solver
+        assert main(allocate + [str(out), "--solver", solver, "--node-limit", "1"]) == 0
+        assert report(out)[0] == "limit" and report(out)[3] == "1"
+    for solver, limit in (("greedy", "5"), ("dp", "5"), ("bnb", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(allocate + [str(tmp_path / "bad"), "--solver", solver, "--node-limit", limit])
+        assert exc.value.code == 2
+    assert "--node-limit" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_cli_fit_feature_subsample_count(tmp_path):
     gen_dir, fit_dir = tmp_path / "gen", tmp_path / "fit"
     assert main(["generate", "--synthetic", "60", "--seed", "3", "--out", str(gen_dir)]) == 0

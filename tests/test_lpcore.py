@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from doseuplift import lpcore
 from doseuplift.alloc import make_problem, solve_bnb
 from doseuplift.estimators import CadeMatrix
-from doseuplift.lpcore import FEAS_TOL, LpError, LpProblem, constraint_violation, solve_lp
+from doseuplift.lpcore import FEAS_TOL, LpError, LpProblem, LpStart, constraint_violation, solve_lp
 
 from .oracles import simplex_oracle
 
@@ -332,6 +332,46 @@ def test_fixed_lower_bounds_overfilling_a_set_are_infeasible_without_pivots():
     sol = solve_lp(p)
     assert sol.status == "infeasible" and sol.iterations == 0
     assert constraint_violation(p, p.lower) == pytest.approx(0.5)
+
+
+def _two_set_lp(rhs):
+    """max x0 + 2 x1 + x2 s.t. x0 + x1 + x2 <= rhs, with {x0, x1} and {x2} one-of
+    sets; columns 3, 4 and 5 are the row's slack and the two sets' slacks."""
+    return LpProblem(
+        objective=np.asarray([1.0, 2.0, 1.0]), a_matrix=np.ones((1, 3)), rhs=np.asarray([rhs]),
+        lower=np.zeros(3), upper=np.ones(3), sets=np.asarray([0, 0, 1]),
+    )
+
+
+def test_optimal_start_takes_no_pivot():
+    p = _two_set_lp(1.5)
+    # x1 = 1 keys set 0, set 1's slack keys set 1, and x2 = 0.5 fills the row's slot
+    sol = solve_lp(p, start=LpStart(x=[0.0, 1.0, 0.5], keys=[1, 5], basis=[2]))
+    assert (sol.status, sol.iterations) == ("optimal", 0)
+    assert sol.objective == solve_lp(p).objective == 2.5
+    # a feasible start that is not optimal costs pivots, not correctness
+    sol = solve_lp(p, start=LpStart(x=[1.0, 0.0, 0.0], keys=[0, 5], basis=[3]))
+    assert sol.status == "optimal" and sol.iterations > 0
+    assert sol.objective == pytest.approx(2.5, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rhs, x, keys, basis, match",
+    [
+        (1.5, [-0.1, 1.0, 0.5], [1, 5], [2], "violates"),  # x0 below its bound
+        (1.5, [0.5, 1.0, 0.0], [1, 5], [0], "violates"),  # set 0 sums to 1.5
+        (1.5, [0.0, 1.0, 1.0], [1, 2], [5], "violates"),  # the row sums to 2
+        (1.5, [0.0, 1.0, 0.5], [2, 5], [1], "member or the slack"),
+        (1.5, [0.0, 1.0, 0.5], [1, 5], [5], "distinct"),
+        (1.5, [0.0, 1.0, 0.25], [1, 5], [2], "not basic"),  # the nonbasic row slack is 0.25
+        (1.0, [0.0, 1.0, 0.0], [1, 5], [0], "singular"),  # x0 and x1 have the same column
+        (1.5, [0.0, 1.0], [1, 5], [2], "3 values"),
+    ],
+    ids=["bound", "set", "row", "key", "duplicate", "not-basic", "singular", "shape"],
+)
+def test_bad_start_is_refused(rhs, x, keys, basis, match):
+    with pytest.raises(LpError, match=match):
+        solve_lp(_two_set_lp(rhs), start=LpStart(x=x, keys=keys, basis=basis))
 
 
 def test_sets_validated():
